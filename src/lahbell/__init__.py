@@ -24,6 +24,7 @@ from .exact_core import (
     degenerate_exp_exact,
     degenerate_exp_series,
     degenerate_falling_factorial,
+    degenerate_falling_factorials,
     falling_factorial,
     format_rational,
     lah_number,

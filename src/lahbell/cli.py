@@ -31,7 +31,7 @@ from .exact_core import (
     STIRLING2_TRIANGLE,
     format_rational,
 )
-from .montecarlo import SUITES, SamplerStream, estimate_moment, run_suite
+from .montecarlo import SUITES, SamplerStream, estimate_moment, moment_target, run_suite, z_score
 from .polynomials import (
     bell_polynomial,
     degenerate_bell_polynomial,
@@ -169,14 +169,6 @@ def _build_distribution(args: argparse.Namespace):
     return DegenerateBinomial(args.n, args.p, lam)
 
 
-def _simulation_target(d, kind: MomentKind, order: int):
-    if kind is MomentKind.RAW:
-        return d.raw_moment(order)
-    if kind is MomentKind.FALLING:
-        return d.falling_factorial_moment(order)
-    return d.rising_factorial_moment(order)
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     try:
         dist = _build_distribution(args)
@@ -186,12 +178,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return _fail("--samples must be at least 2", 2)
     kind = MomentKind(args.moment)
     estimate = estimate_moment(dist, kind, args.order, args.samples, SamplerStream(args.seed, 0))
-    target = _simulation_target(dist, kind, args.order)
+    target = moment_target(dist, kind, args.order)
     target_str = format_rational(target) if isinstance(target, Fraction) else repr(float(target))
-    if estimate.standard_error == 0:
-        z = 0.0 if estimate.estimate == float(target) else float("inf")
-    else:
-        z = (estimate.estimate - float(target)) / estimate.standard_error
+    z = z_score(estimate.estimate, estimate.standard_error, target)
 
     params = {}
     if isinstance(dist, DegeneratePoisson):

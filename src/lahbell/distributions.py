@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterator, Optional, Union
 
 from .errors import ConvergenceError, DomainError
@@ -27,6 +28,7 @@ from .exact_core import (
     degenerate_exp_eval,
     degenerate_exp_exact,
     degenerate_falling_factorial,
+    degenerate_falling_factorials,
     falling_factorial,
     format_rational,
     rising_factorial,
@@ -88,7 +90,7 @@ class DegenerateBinomial:
             raise DomainError(f"p must lie in [0, 1], got {format_rational(p)}")
         if not 0 <= lam < 1:
             raise DomainError(f"lam must lie in [0, 1), got {format_rational(lam)}")
-        if degenerate_falling_factorial(1, self.n, lam) == 0:
+        if self.normalizer == 0:
             raise DomainError(
                 f"normalizer vanishes: lam = {format_rational(lam)} is 1/j for some j < n"
             )
@@ -101,28 +103,33 @@ class DegenerateBinomial:
     def finite_support(self) -> bool:
         return True
 
+    @cached_property
+    def _mass_table(self) -> tuple[Fraction, ...]:
+        """Exact masses 0..n from one prefix list for p and one for 1 - p."""
+        n = self.n
+        successes = degenerate_falling_factorials(self.p, n, self.lam)
+        failures = degenerate_falling_factorials(1 - self.p, n, self.lam)
+        normalizer = self.normalizer
+        return tuple(
+            binomial_coefficient(n, i) * successes[i] * failures[n - i] / normalizer
+            for i in range(n + 1)
+        )
+
     @property
     def support_cutoff(self) -> int:
         """Last index with nonzero mass."""
-        for i in range(self.n, -1, -1):
-            if self.pmf(i) != 0:
-                return i
-        return 0
+        table = self._mass_table
+        return next((i for i in range(self.n, -1, -1) if table[i] != 0), 0)
 
     def pmf(self, i: int) -> Fraction:
         if i < 0:
             raise ValueError("index must be nonnegative")
         if i > self.n:
             return Fraction(0)
-        return (
-            binomial_coefficient(self.n, i)
-            * degenerate_falling_factorial(self.p, i, self.lam)
-            * degenerate_falling_factorial(1 - self.p, self.n - i, self.lam)
-            / self.normalizer
-        )
+        return self._mass_table[i]
 
     def masses(self) -> list[Fraction]:
-        return [self.pmf(i) for i in range(self.n + 1)]
+        return list(self._mass_table)
 
     def mean(self) -> Fraction:
         """Closed form n*p*(1-lam)(1-2*lam).../normalizer; zero for n = 0."""
@@ -152,12 +159,7 @@ class DegenerateBinomial:
 
     def raw_moment(self, m: int) -> Fraction:
         """Exact sum of i**m over the support masses."""
-        if m < 0:
-            raise ValueError("moment order must be nonnegative")
-        return sum(
-            (Fraction(i) ** m * mass for i, mass in enumerate(self.masses())),
-            Fraction(0),
-        )
+        return moment_direct(self, MomentKind.RAW, m)
 
     def falling_factorial_moment(self, m: int) -> Fraction:
         return moment_direct(self, MomentKind.FALLING, m)
@@ -168,17 +170,11 @@ class DegenerateBinomial:
     def mgf(self, t: Union[float, RationalLike]) -> float:
         """Moment generating function at t, a float evaluation boundary."""
         t_float = float(t) if isinstance(t, float) else float(as_rational(t))
-        return sum(math.exp(i * t_float) * float(mass) for i, mass in enumerate(self.masses()))
+        return _finite_expectation(self, lambda i: math.exp(i * t_float))
 
     def pgf(self, t: RationalLike) -> Fraction:
         """Expectation of (1/(1-t))**X, exact over the finite support."""
-        u = _pgf_argument(t)
-        total = Fraction(0)
-        power = Fraction(1)
-        for mass in self.masses():
-            total += power * mass
-            power *= u
-        return total
+        return pgf_direct(self, t)
 
 
 @dataclass(frozen=True)
@@ -223,33 +219,34 @@ class DegeneratePoisson:
     def classical(self) -> bool:
         return self.lam == 0
 
-    def _unnormalized_mass(self, i: int) -> Fraction:
-        if i < 0:
-            raise ValueError("index must be nonnegative")
-        return (
-            self.alpha**i
-            * degenerate_falling_factorial(1, i, self.lam)
-            / math.factorial(i)
-        )
-
-    def _exact_normalizer(self) -> Fraction:
-        return degenerate_exp_exact(-1, self.alpha, self.lam)
-
-    def pmf(self, i: int) -> Union[Fraction, float]:
-        """Exact rational on a finite support, float otherwise."""
-        if self.finite_support:
-            return self._exact_normalizer() * self._unnormalized_mass(i)
-        if self.classical:
-            return math.exp(-float(self.alpha)) * float(self._unnormalized_mass(i))
-        return degenerate_exp_eval(-1, self.alpha, self.lam) * float(self._unnormalized_mass(i))
-
-    def masses(self) -> list[Fraction]:
-        """Exact mass table; only defined for finite support."""
+    @cached_property
+    def _mass_table(self) -> tuple[Fraction, ...]:
+        """Exact masses 0..cutoff from one prefix list; finite support only."""
         cutoff = self.support_cutoff
         if cutoff is None:
             raise DomainError("exact mass table requires a finite support")
-        norm = self._exact_normalizer()
-        return [norm * self._unnormalized_mass(i) for i in range(cutoff + 1)]
+        factors = degenerate_falling_factorials(1, cutoff, self.lam)
+        normalizer = degenerate_exp_exact(-1, self.alpha, self.lam)
+        return tuple(
+            normalizer * (self.alpha**i * factors[i] / math.factorial(i))
+            for i in range(cutoff + 1)
+        )
+
+    def pmf(self, i: int) -> Union[Fraction, float]:
+        """Exact rational on a finite support, float otherwise."""
+        if i < 0:
+            raise ValueError("index must be nonnegative")
+        if self.finite_support:
+            table = self._mass_table
+            return table[i] if i < len(table) else Fraction(0)
+        mass = float(self.alpha**i * degenerate_falling_factorial(1, i, self.lam) / math.factorial(i))
+        if self.classical:
+            return math.exp(-float(self.alpha)) * mass
+        return degenerate_exp_eval(-1, self.alpha, self.lam) * mass
+
+    def masses(self) -> list[Fraction]:
+        """Exact mass table; only defined for finite support."""
+        return list(self._mass_table)
 
     def _float_mass_stream(self) -> Iterator[float]:
         """Infinite-support masses, built incrementally in float."""
@@ -377,10 +374,7 @@ def moment_direct(
         raise ValueError("moment order must be nonnegative")
     kind = MomentKind(kind)
     if d.finite_support:
-        return sum(
-            (_exact_kind_value(kind, order, i) * mass for i, mass in enumerate(d.masses())),
-            Fraction(0),
-        )
+        return _finite_expectation(d, lambda i: _exact_kind_value(kind, order, i))
     return _truncated_sum(
         d, lambda i: _float_kind_value(kind, order, i), tol=tol, max_terms=max_terms
     )
@@ -399,14 +393,17 @@ def pgf_direct(
     """
     u = _pgf_argument(t)
     if d.finite_support:
-        total = Fraction(0)
-        power = Fraction(1)
-        for mass in d.masses():
-            total += power * mass
-            power *= u
-        return total
+        return _finite_expectation(d, lambda i: u**i)
     u_float = float(u)
     return _truncated_sum(d, lambda i: u_float**i, tol=tol, max_terms=max_terms)
+
+
+def _finite_expectation(d: Distribution, weight: Callable[[int], object]) -> Union[Fraction, float]:
+    """Sum of weight(i) * mass_i over a finite support's mass table.
+
+    Exact when the weights are rational; float weights give a float.
+    """
+    return sum((weight(i) * mass for i, mass in enumerate(d._mass_table)), Fraction(0))
 
 
 def _truncated_sum(
@@ -458,12 +455,8 @@ def analyze_support(d: Distribution, horizon: int = 64) -> SupportAnalysis:
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     if d.finite_support:
-        masses = d.masses()
-        cutoff = 0
-        for i in range(len(masses) - 1, -1, -1):
-            if masses[i] != 0:
-                cutoff = i
-                break
+        masses = d._mass_table
+        cutoff = d.support_cutoff
         negatives = tuple(
             i for i in range(min(horizon, cutoff) + 1) if masses[i] < 0
         )
@@ -473,12 +466,8 @@ def analyze_support(d: Distribution, horizon: int = 64) -> SupportAnalysis:
         return SupportAnalysis(True, cutoff, all_nonnegative, negatives)
     if d.classical:
         return SupportAnalysis(False, None, True, ())
-    scan = min(horizon, _first_negative_index(d)) + 1
-    negatives = tuple(
-        i
-        for i in range(scan)
-        if degenerate_falling_factorial(1, i, d.lam) < 0
-    )
+    factors = degenerate_falling_factorials(1, min(horizon, _first_negative_index(d)), d.lam)
+    negatives = tuple(i for i, factor in enumerate(factors) if factor < 0)
     if not negatives:
         negatives = (_first_negative_index(d),)
     return SupportAnalysis(False, None, False, negatives)

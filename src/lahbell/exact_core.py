@@ -46,35 +46,37 @@ def _check_order(n: int) -> None:
         raise ValueError("order must be a nonnegative integer")
 
 
-def falling_factorial(x: RationalLike, n: int) -> Fraction:
-    """x(x-1)...(x-n+1), the empty product 1 when n = 0."""
+def degenerate_falling_factorials(x: RationalLike, n: int, lam: RationalLike) -> list[Fraction]:
+    """[(x)_{0,lam}, ..., (x)_{n,lam}], the prefix products of x(x-lam)(x-2*lam)...
+
+    The one loop in the package that multiplies degenerate factors: every
+    falling, rising, and degenerate factorial, and every mass table, reads
+    its entries from here.
+    """
     _check_order(n)
     x = as_rational(x)
-    out = Fraction(1)
-    for j in range(n):
-        out *= x - j
-    return out
-
-
-def rising_factorial(x: RationalLike, n: int) -> Fraction:
-    """x(x+1)...(x+n-1), the empty product 1 when n = 0."""
-    _check_order(n)
-    x = as_rational(x)
-    out = Fraction(1)
-    for j in range(n):
-        out *= x + j
+    lam = as_rational(lam)
+    out = [Fraction(1)]
+    factor = x
+    for _ in range(n):
+        out.append(out[-1] * factor)
+        factor -= lam
     return out
 
 
 def degenerate_falling_factorial(x: RationalLike, n: int, lam: RationalLike) -> Fraction:
     """x(x-lam)(x-2*lam)...(x-(n-1)*lam); reduces to x**n at lam = 0."""
-    _check_order(n)
-    x = as_rational(x)
-    lam = as_rational(lam)
-    out = Fraction(1)
-    for j in range(n):
-        out *= x - j * lam
-    return out
+    return degenerate_falling_factorials(x, n, lam)[-1]
+
+
+def falling_factorial(x: RationalLike, n: int) -> Fraction:
+    """x(x-1)...(x-n+1), the empty product 1 when n = 0."""
+    return degenerate_falling_factorial(x, n, 1)
+
+
+def rising_factorial(x: RationalLike, n: int) -> Fraction:
+    """x(x+1)...(x+n-1), the empty product 1 when n = 0."""
+    return degenerate_falling_factorial(x, n, -1)
 
 
 def binomial_coefficient(n: int, k: int) -> int:

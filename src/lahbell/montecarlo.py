@@ -35,7 +35,7 @@ from .distributions import (
 from .errors import DomainError, SignedMassError, TailError, UnknownIdentityError
 from .exact_core import (
     as_rational,
-    degenerate_falling_factorial,
+    degenerate_falling_factorials,
     format_rational,
     lah_number,
     lah_number_closed_form,
@@ -76,9 +76,6 @@ class SamplerStream:
         self.stream_index = stream_index
         seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(stream_index,))
         self._rng = np.random.default_rng(seq)
-
-    def uniform(self) -> float:
-        return float(self._rng.random())
 
     def uniforms(self, count: int) -> np.ndarray:
         return self._rng.random(count)
@@ -151,6 +148,25 @@ def draw_samples(d: Distribution, count: int, stream: SamplerStream) -> np.ndarr
 def sample(d: Distribution, stream: SamplerStream) -> int:
     """Draw one variate and advance the stream."""
     return int(draw_samples(d, 1, stream)[0])
+
+
+def moment_target(d: Distribution, kind: Union[MomentKind, str], order: int) -> Union[Fraction, float]:
+    """The closed-form (or exact) moment a sample estimate is tested against."""
+    kind = MomentKind(kind)
+    if kind is MomentKind.RAW:
+        return d.raw_moment(order)
+    if kind is MomentKind.FALLING:
+        return d.falling_factorial_moment(order)
+    return d.rising_factorial_moment(order)
+
+
+def z_score(estimate: float, standard_error: float, target: Union[Fraction, float]) -> float:
+    """(estimate - target) / standard_error; with a zero standard error, 0
+    when the estimate hits the target exactly and infinity otherwise."""
+    target = float(target)
+    if standard_error == 0:
+        return 0.0 if estimate == target else math.inf
+    return (estimate - target) / standard_error
 
 
 def _moment_values(draws: np.ndarray, kind: MomentKind, order: int) -> np.ndarray:
@@ -318,12 +334,8 @@ def _z_report(
     stream: SamplerStream,
     samples: int,
 ) -> VerificationReport:
-    target_float = float(target)
-    if standard_error == 0:
-        z = 0.0 if estimate == target_float else math.inf
-    else:
-        z = (estimate - target_float) / standard_error
-    rhs = format_rational(target) if isinstance(target, Fraction) else repr(target_float)
+    z = z_score(estimate, standard_error, target)
+    rhs = format_rational(target) if isinstance(target, Fraction) else repr(float(target))
     return VerificationReport(
         identity=identity,
         params=_serialize_params({**params, "z_threshold": z_threshold}),
@@ -527,13 +539,14 @@ def _check_dpoisson_rising_expansion(params, samples, z_threshold, stream):
         return _skipped_report("dpoisson-rising-expansion", params)
     lhs = moment_direct(d, MomentKind.RISING, order)
     ratio = d.alpha / (1 + d.lam * d.alpha)
+    factors = degenerate_falling_factorials(1, order, d.lam)
     rhs = Fraction(0)
     for l in range(order + 1):
         inner = sum(
             (-1) ** (order - k) * stirling1_signed(order, k) * stirling2(k, l)
             for k in range(l, order + 1)
         )
-        rhs += inner * degenerate_falling_factorial(1, l, d.lam) * ratio**l
+        rhs += inner * factors[l] * ratio**l
     return _exact_report("dpoisson-rising-expansion", params, lhs, rhs)
 
 
@@ -546,40 +559,23 @@ def _check_dpoisson_pgf(params, samples, z_threshold, stream):
     return _exact_report("dpoisson-pgf", params, d.pgf(t), pgf_direct(d, t))
 
 
-@_identity("poisson-falling-moment")
-def _check_poisson_falling_moment(params, samples, z_threshold, stream):
-    alpha = as_rational(params["alpha"])
-    order = int(params["order"])
-    d = poisson(alpha)
-    est = estimate_moment(d, MomentKind.FALLING, order, samples, stream)
-    return _z_report(
-        "poisson-falling-moment", params, est.estimate, est.standard_error,
-        alpha**order, z_threshold, stream, samples,
-    )
+def _register_poisson_moment_check(kind: MomentKind) -> None:
+    """poisson-{raw,falling,rising}-moment: sample estimate against `moment_target`."""
+    tag = f"poisson-{kind.value}-moment"
+
+    @_identity(tag)
+    def check(params, samples, z_threshold, stream):
+        d = poisson(as_rational(params["alpha"]))
+        order = int(params["order"])
+        est = estimate_moment(d, kind, order, samples, stream)
+        return _z_report(
+            tag, params, est.estimate, est.standard_error,
+            moment_target(d, kind, order), z_threshold, stream, samples,
+        )
 
 
-@_identity("poisson-rising-moment")
-def _check_poisson_rising_moment(params, samples, z_threshold, stream):
-    alpha = as_rational(params["alpha"])
-    order = int(params["order"])
-    d = poisson(alpha)
-    est = estimate_moment(d, MomentKind.RISING, order, samples, stream)
-    return _z_report(
-        "poisson-rising-moment", params, est.estimate, est.standard_error,
-        lah_bell_polynomial(order).evaluate(alpha), z_threshold, stream, samples,
-    )
-
-
-@_identity("poisson-raw-moment")
-def _check_poisson_raw_moment(params, samples, z_threshold, stream):
-    alpha = as_rational(params["alpha"])
-    order = int(params["order"])
-    d = poisson(alpha)
-    est = estimate_moment(d, MomentKind.RAW, order, samples, stream)
-    return _z_report(
-        "poisson-raw-moment", params, est.estimate, est.standard_error,
-        bell_polynomial(order).evaluate(alpha), z_threshold, stream, samples,
-    )
+for _kind in MomentKind:
+    _register_poisson_moment_check(_kind)
 
 
 @_identity("poisson-pgf")

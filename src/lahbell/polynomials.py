@@ -17,7 +17,7 @@ from .errors import EvaluationError, LengthError
 from .exact_core import (
     RationalLike,
     as_rational,
-    degenerate_falling_factorial,
+    degenerate_falling_factorials,
     lah_number,
     stirling1_signed,
     stirling2,
@@ -124,33 +124,23 @@ def evaluate_degenerate(poly: RationalPolynomial, x: RationalLike, lam: Rational
 
 def degenerate_bell_polynomial(n: int, lam: RationalLike) -> RationalPolynomial:
     """Degenerate Bell polynomial in y: sum_k (1)(1-lam)...(1-(k-1)lam) S2(n, k) y**k."""
-    lam = as_rational(lam)
-    coeffs = tuple(
-        degenerate_falling_factorial(1, k, lam) * stirling2(n, k) for k in range(n + 1)
-    )
-    return RationalPolynomial(coeffs, "y")
+    factors = degenerate_falling_factorials(1, n, lam)
+    return RationalPolynomial(tuple(factors[k] * stirling2(n, k) for k in range(n + 1)), "y")
 
 
 def degenerate_lah_bell_polynomial(n: int, lam: RationalLike) -> RationalPolynomial:
-    """Degenerate Lah-Bell polynomial in y, built from the double Stirling sum.
+    """Degenerate Lah-Bell polynomial in y: sum_l L(n, l) (1)(1-lam)...(1-(l-1)lam) y**l.
 
-    The y**l coefficient is (sum_{k=l..n} (-1)**(n-k) S1(n,k) S2(k,l)) times
-    the degenerate factor (1)(1-lam)...(1-(l-1)lam).
+    L(n, l) equals the double Stirling sum sum_k |S1(n, k)| S2(k, l), the form
+    in which the coefficients first appear; the tests check the two agree.
     """
-    lam = as_rational(lam)
-    coeffs = []
-    for l in range(n + 1):
-        inner = sum(
-            (-1) ** (n - k) * stirling1_signed(n, k) * stirling2(k, l)
-            for k in range(l, n + 1)
-        )
-        coeffs.append(degenerate_falling_factorial(1, l, lam) * inner)
-    return RationalPolynomial(tuple(coeffs), "y")
+    factors = degenerate_falling_factorials(1, n, lam)
+    return RationalPolynomial(tuple(lah_number(n, l) * factors[l] for l in range(n + 1)), "y")
 
 
 def degenerate_lah_bell_polynomial_via_bell(n: int, lam: RationalLike) -> RationalPolynomial:
     """Same polynomial assembled the other way: a signed S1 combination of
-    degenerate Bell polynomials. Must agree with the double-sum construction
+    degenerate Bell polynomials. Must agree with the Lah-number construction
     coefficient by coefficient; the verification suite checks exactly that.
     """
     lam = as_rational(lam)

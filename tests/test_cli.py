@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -202,3 +203,18 @@ class TestByteIdenticalOutput:
         first = subprocess.run(argv, capture_output=True, check=True)
         second = subprocess.run(argv, capture_output=True, check=True)
         assert first.stdout == second.stdout
+
+
+class TestPinnedExactOutput:
+    # sha256 of the EXACT-mode lines of `lahbell verify all --seed 0`, each
+    # newline-terminated. Those lines hold only rationals, so the digest is
+    # the same on every machine and numpy version.
+    VERIFY_ALL_EXACT_SHA256 = "e2bd5ec05d383c15652ef58d70a54e3f35e00c5308c78e1de289af148ca8f596"
+
+    def test_verify_all_exact_lines_digest(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "all", "--seed", "0")
+        assert code == 0
+        exact = [line for line in out.splitlines() if json.loads(line)["mode"] == "EXACT"]
+        assert len(exact) == 79
+        digest = hashlib.sha256("".join(line + "\n" for line in exact).encode()).hexdigest()
+        assert digest == self.VERIFY_ALL_EXACT_SHA256

@@ -22,6 +22,7 @@ from lahbell import (
     poisson,
 )
 from lahbell.montecarlo import random_degenerate_binomial
+from oracles import degenerate_binomial_mass
 
 WITNESS = DegenerateBinomial(3, Fraction(1, 10), Fraction(2, 5))
 
@@ -65,6 +66,42 @@ class TestDegenerateBinomialPmf:
 
     def test_signed_witness_still_normalized(self):
         assert sum(WITNESS.masses()) == 1
+
+
+class TestMassTables:
+    def test_binomial_table_matches_per_index_products(self):
+        rng = random.Random(11)
+        signed = truncated = 0
+        for _ in range(60):
+            d = random_degenerate_binomial(rng)
+            expected = [degenerate_binomial_mass(d.n, d.p, d.lam, i) for i in range(d.n + 1)]
+            assert d.masses() == expected
+            assert [d.pmf(i) for i in range(d.n + 2)] == expected + [0]
+            cutoff = max((i for i, mass in enumerate(expected) if mass != 0), default=0)
+            assert d.support_cutoff == cutoff
+            assert analyze_support(d).cutoff == cutoff
+            signed += any(mass < 0 for mass in expected)
+            truncated += cutoff < d.n
+        assert signed and truncated, "draws must cover signed and zero-tail regimes"
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: DegenerateBinomial(3, Fraction(1, 10), Fraction(2, 5)),
+            lambda: DegeneratePoisson(Fraction(3), Fraction(1, 5)),
+        ],
+        ids=["binomial", "poisson"],
+    )
+    def test_mutating_returned_masses_leaves_instance_intact(self, make):
+        d = make()
+        before = d.masses()
+        returned = d.masses()
+        returned[0] += 1
+        returned.append(Fraction(7))
+        assert d.masses() == before
+        assert [d.pmf(i) for i in range(len(before))] == before
+        returned.clear()
+        assert d.masses() == before
 
 
 class TestDegenerateBinomialMoments:

@@ -15,6 +15,7 @@ from lahbell import (
     degenerate_exp_exact,
     degenerate_exp_series,
     degenerate_falling_factorial,
+    degenerate_falling_factorials,
     falling_factorial,
     format_rational,
     lah_number,
@@ -61,6 +62,18 @@ class TestFactorials:
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             falling_factorial(3, -1)
+        with pytest.raises(ValueError):
+            degenerate_falling_factorials(3, -1, 0)
+
+    @given(rationals, st.integers(0, 12), rationals)
+    def test_prefix_list_holds_every_order(self, x, n, lam):
+        prefix = degenerate_falling_factorials(x, n, lam)
+        assert len(prefix) == n + 1
+        for k, value in enumerate(prefix):
+            expected = Fraction(1)
+            for j in range(k):
+                expected *= x - j * lam
+            assert value == expected
 
 
 class TestBinomial:

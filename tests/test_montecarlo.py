@@ -21,7 +21,7 @@ from lahbell import (
     suite_instances,
     verify_identity,
 )
-from lahbell.montecarlo import _cumulative_table
+from lahbell.montecarlo import _cumulative_table, moment_target, z_score
 
 WITNESS = DegenerateBinomial(3, Fraction(1, 10), Fraction(2, 5))
 DP_HALF = DegeneratePoisson(Fraction(1), Fraction(1, 2))
@@ -116,6 +116,28 @@ class TestEstimateMoment:
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
             estimate_moment(DP_HALF, "raw", 1, 1, SamplerStream(0, 0))
+
+
+class TestZScore:
+    def test_ratio(self):
+        assert z_score(3.0, 0.5, Fraction(2)) == 2.0
+        assert z_score(1.0, 0.5, 2.0) == -2.0
+
+    def test_zero_standard_error(self):
+        assert z_score(2.0, 0.0, Fraction(2)) == 0.0
+        assert z_score(2.5, 0.0, Fraction(2)) == math.inf
+
+
+class TestMomentTarget:
+    def test_classical_poisson_closed_forms(self):
+        d = poisson(2)
+        assert moment_target(d, MomentKind.FALLING, 2) == 4
+        assert moment_target(d, MomentKind.RISING, 3) == 44
+        assert moment_target(d, "raw", 3) == 22
+
+    def test_finite_instance_is_exact(self):
+        assert moment_target(DP_HALF, MomentKind.RAW, 1) == DP_HALF.mean()
+        assert moment_target(WITNESS, MomentKind.RAW, 2) == WITNESS.raw_moment(2)
 
 
 class TestPartitionedEstimation:

@@ -22,7 +22,7 @@ from lahbell import (
     stirling1_signed,
     y_substitution,
 )
-from oracles import count_list_partitions, count_set_partitions
+from oracles import count_list_partitions, count_set_partitions, degenerate_lah_bell_coefficients
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=10)
 
@@ -116,6 +116,13 @@ class TestDegenerateFamilies:
         for lam in lams:
             for n in range(13):
                 assert degenerate_lah_bell_polynomial(n, lam) == degenerate_lah_bell_polynomial_via_bell(n, lam)
+
+    @pytest.mark.parametrize("lam", [Fraction(0), Fraction(1, 7), Fraction(3, 5)])
+    def test_lah_number_coefficients_match_double_stirling_sum(self, lam):
+        for n in range(31):
+            poly = degenerate_lah_bell_polynomial(n, lam)
+            assert poly.degree <= n
+            assert [poly.coefficient(l) for l in range(n + 1)] == degenerate_lah_bell_coefficients(n, lam)
 
     def test_classical_limit(self):
         # errors must shrink monotonically as lam -> 0 and end below 1e-4
