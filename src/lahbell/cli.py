@@ -138,8 +138,12 @@ def _report_csv_line(report) -> str:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.n_max < 0:
+        return _fail("--n-max must be nonnegative", 2)
     if args.trials < 2:
         return _fail("--trials must be at least 2", 2)
+    if not args.z_threshold >= 0:
+        return _fail("--z-threshold must be a nonnegative number", 2)
     reports = run_suite(
         args.suite,
         n_max=args.n_max,

@@ -355,14 +355,7 @@ def _float_kind_value(kind: MomentKind, order: int, i: int) -> float:
     return out
 
 
-def moment_direct(
-    d: Distribution,
-    kind: MomentKind,
-    order: int,
-    *,
-    tol: float = TRUNCATION_TOL,
-    max_terms: int = TERM_BUDGET,
-) -> Union[Fraction, float]:
+def moment_direct(d: Distribution, kind: MomentKind, order: int) -> Union[Fraction, float]:
     """Expectation of the chosen power kind straight from the masses.
 
     Exact over a finite support. Over an infinite support the sum is a float,
@@ -375,18 +368,10 @@ def moment_direct(
     kind = MomentKind(kind)
     if d.finite_support:
         return _finite_expectation(d, lambda i: _exact_kind_value(kind, order, i))
-    return _truncated_sum(
-        d, lambda i: _float_kind_value(kind, order, i), tol=tol, max_terms=max_terms
-    )
+    return _truncated_sum(d, lambda i: _float_kind_value(kind, order, i))
 
 
-def pgf_direct(
-    d: Distribution,
-    t: RationalLike,
-    *,
-    tol: float = TRUNCATION_TOL,
-    max_terms: int = TERM_BUDGET,
-) -> Union[Fraction, float]:
+def pgf_direct(d: Distribution, t: RationalLike) -> Union[Fraction, float]:
     """Expectation of (1/(1-t))**X summed directly over the masses.
 
     Cross-check companion to the closed-form `pgf` methods.
@@ -395,7 +380,7 @@ def pgf_direct(
     if d.finite_support:
         return _finite_expectation(d, lambda i: u**i)
     u_float = float(u)
-    return _truncated_sum(d, lambda i: u_float**i, tol=tol, max_terms=max_terms)
+    return _truncated_sum(d, lambda i: u_float**i)
 
 
 def _finite_expectation(d: Distribution, weight: Callable[[int], object]) -> Union[Fraction, float]:
@@ -406,18 +391,12 @@ def _finite_expectation(d: Distribution, weight: Callable[[int], object]) -> Uni
     return sum((weight(i) * mass for i, mass in enumerate(d._mass_table)), Fraction(0))
 
 
-def _truncated_sum(
-    d: DegeneratePoisson,
-    weight: Callable[[int], float],
-    *,
-    tol: float,
-    max_terms: int,
-) -> float:
+def _truncated_sum(d: DegeneratePoisson, weight: Callable[[int], float]) -> float:
     total = 0.0
     total_abs = 0.0
     small_run = 0
     stream = d._float_mass_stream()
-    for i in range(max_terms):
+    for i in range(TERM_BUDGET):
         try:
             term = weight(i) * next(stream)
         except OverflowError as exc:
@@ -426,13 +405,13 @@ def _truncated_sum(
         total_abs += abs(term)
         if not math.isfinite(total):
             raise ConvergenceError("sum diverged; outside the series' domain")
-        if total_abs > 0 and abs(term) < tol * total_abs:
+        if total_abs > 0 and abs(term) < TRUNCATION_TOL * total_abs:
             small_run += 1
             if small_run >= _CONSECUTIVE_SMALL:
                 return total
         else:
             small_run = 0
-    raise ConvergenceError(f"no convergence within {max_terms} terms at tol {tol}")
+    raise ConvergenceError(f"no convergence within {TERM_BUDGET} terms at tol {TRUNCATION_TOL}")
 
 
 def _first_negative_index(d: DegeneratePoisson) -> int:

@@ -34,11 +34,18 @@ def as_rational(value: RationalLike) -> Fraction:
 
 
 def format_rational(value: RationalLike) -> str:
-    """Canonical "a/b" string; the denominator is omitted when it is 1."""
+    """Canonical "a/b" string; the denominator is omitted when it is 1.
+
+    Raises DomainError when a part has more digits than Python's int-to-str
+    limit allows.
+    """
     value = as_rational(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError as exc:
+        raise DomainError(f"result too large to print: {exc}") from exc
 
 
 def _check_order(n: int) -> None:

@@ -34,6 +34,7 @@ from .distributions import (
 )
 from .errors import DomainError, SignedMassError, TailError, UnknownIdentityError
 from .exact_core import (
+    RationalLike,
     as_rational,
     degenerate_falling_factorials,
     format_rational,
@@ -182,6 +183,11 @@ def _moment_values(draws: np.ndarray, kind: MomentKind, order: int) -> np.ndarra
     return out
 
 
+def _mean_and_standard_error(values: np.ndarray) -> tuple[float, float]:
+    """Sample mean and the standard error of that mean (ddof = 1)."""
+    return float(np.mean(values)), float(np.std(values, ddof=1)) / math.sqrt(len(values))
+
+
 def estimate_moment(
     d: Distribution,
     kind: Union[MomentKind, str],
@@ -196,9 +202,8 @@ def estimate_moment(
     if samples < 2:
         raise ValueError("need at least two samples for a standard error")
     values = _moment_values(draw_samples(d, samples, stream), kind, order)
-    estimate = float(np.mean(values))
-    se = float(np.std(values, ddof=1)) / math.sqrt(samples)
-    return MomentEstimate(estimate, se, samples, kind, order)
+    estimate, standard_error = _mean_and_standard_error(values)
+    return MomentEstimate(estimate, standard_error, samples, kind, order)
 
 
 def estimate_moment_partitioned(
@@ -297,7 +302,7 @@ def _serialize_params(params: Mapping[str, object]) -> dict[str, str]:
     return {key: _param_string(value) for key, value in params.items()}
 
 
-def _exact_report(identity: str, params: Mapping[str, object], lhs: Fraction, rhs: Fraction) -> VerificationReport:
+def _exact_report(identity: str, params: Mapping[str, object], lhs: RationalLike, rhs: RationalLike) -> VerificationReport:
     lhs = as_rational(lhs)
     rhs = as_rational(rhs)
     equal = lhs == rhs
@@ -349,13 +354,22 @@ def _z_report(
     )
 
 
-_IdentityCheck = Callable[[dict, int, float, SamplerStream], VerificationReport]
-_REGISTRY: dict[str, _IdentityCheck] = {}
+class _InfiniteSupport(Exception):
+    """An exact check that sums over a finite support met an infinite one."""
 
 
-def _identity(tag: str):
-    def wrap(func: _IdentityCheck) -> _IdentityCheck:
-        _REGISTRY[tag] = func
+_REGISTRY: dict[str, tuple[str, Callable]] = {}
+
+
+def _identity(tag: str, mode: str = "EXACT"):
+    """Register a check as tag -> (mode, check).
+
+    EXACT checks take params and return (lhs, rhs); STATISTICAL checks take
+    (params, samples, stream) and return (estimate, standard_error, target).
+    """
+
+    def wrap(func: Callable) -> Callable:
+        _REGISTRY[tag] = (mode, func)
         return func
 
     return wrap
@@ -372,16 +386,29 @@ def verify_identity(
     z_threshold: float = 5.0,
     stream: Optional[SamplerStream] = None,
 ) -> VerificationReport:
-    """Run one registered identity check and return its report."""
+    """Run one registered identity check and return its report.
+
+    An exact check that raises _InfiniteSupport is reported as SKIPPED.
+    """
     if tag not in _REGISTRY:
         raise UnknownIdentityError(tag)
     if stream is None:
         stream = SamplerStream(0, 0)
-    return _REGISTRY[tag](dict(params), int(samples), float(z_threshold), stream)
+    mode, check = _REGISTRY[tag]
+    params = dict(params)
+    if mode == "STATISTICAL":
+        samples = int(samples)
+        estimate, standard_error, target = check(params, samples, stream)
+        return _z_report(tag, params, estimate, standard_error, target, float(z_threshold), stream, samples)
+    try:
+        lhs, rhs = check(params)
+    except _InfiniteSupport:
+        return _skipped_report(tag, params)
+    return _exact_report(tag, params, lhs, rhs)
 
 
 @_identity("stirling-inversion")
-def _check_stirling_inversion(params, samples, z_threshold, stream):
+def _check_stirling_inversion(params):
     n_max = int(params["n_max"])
     worst = 0
     for n in range(n_max + 1):
@@ -390,42 +417,42 @@ def _check_stirling_inversion(params, samples, z_threshold, stream):
             first = sum(stirling1_signed(n, k) * stirling2(k, m) for k in range(n + 1))
             second = sum(stirling2(n, k) * stirling1_signed(k, m) for k in range(n + 1))
             worst = max(worst, abs(first - delta), abs(second - delta))
-    return _exact_report("stirling-inversion", params, Fraction(worst), Fraction(0))
+    return worst, 0
 
 
 @_identity("stirling1-row-sums")
-def _check_stirling1_row_sums(params, samples, z_threshold, stream):
+def _check_stirling1_row_sums(params):
     n_max = int(params["n_max"])
     worst = 0
     for n in range(n_max + 1):
         row_sum = sum(stirling1_unsigned(n, k) for k in range(n + 1))
         worst = max(worst, abs(row_sum - math.factorial(n)))
-    return _exact_report("stirling1-row-sums", params, Fraction(worst), Fraction(0))
+    return worst, 0
 
 
 @_identity("lah-closed-form")
-def _check_lah_closed_form(params, samples, z_threshold, stream):
+def _check_lah_closed_form(params):
     n_max = int(params["n_max"])
     worst = 0
     for n in range(n_max + 1):
         for k in range(n + 1):
             worst = max(worst, abs(lah_number(n, k) - lah_number_closed_form(n, k)))
-    return _exact_report("lah-closed-form", params, Fraction(worst), Fraction(0))
+    return worst, 0
 
 
 @_identity("lahbell-series")
-def _check_lahbell_series(params, samples, z_threshold, stream):
+def _check_lahbell_series(params):
     x = as_rational(params["x"])
     n_max = int(params["n_max"])
     series = lah_bell_series_coefficients(x, n_max)
     worst = Fraction(0)
     for n in range(n_max + 1):
         worst = max(worst, abs(series[n] - lah_bell_polynomial(n).evaluate(x)))
-    return _exact_report("lahbell-series", params, worst, Fraction(0))
+    return worst, 0
 
 
 @_identity("lah-basis-transform")
-def _check_lah_basis_transform(params, samples, z_threshold, stream):
+def _check_lah_basis_transform(params):
     alpha = as_rational(params["alpha"])
     n_max = int(params["n_max"])
     bell_values = [bell_polynomial(k).evaluate(alpha) for k in range(n_max + 1)]
@@ -434,11 +461,11 @@ def _check_lah_basis_transform(params, samples, z_threshold, stream):
         transformed = lahbell_from_bell(n, bell_values[: n + 1])
         direct = lah_bell_polynomial(n).evaluate(alpha)
         worst = max(worst, abs(transformed - direct))
-    return _exact_report("lah-basis-transform", params, worst, Fraction(0))
+    return worst, 0
 
 
 @_identity("dlahbell-constructions")
-def _check_dlahbell_constructions(params, samples, z_threshold, stream):
+def _check_dlahbell_constructions(params):
     lam = as_rational(params["lam"])
     n_max = int(params["n_max"])
     worst = Fraction(0)
@@ -448,11 +475,11 @@ def _check_dlahbell_constructions(params, samples, z_threshold, stream):
         size = max(len(direct.coefficients), len(assembled.coefficients))
         for k in range(size):
             worst = max(worst, abs(direct.coefficient(k) - assembled.coefficient(k)))
-    return _exact_report("dlahbell-constructions", params, worst, Fraction(0))
+    return worst, 0
 
 
 @_identity("transform-roundtrip")
-def _check_transform_roundtrip(params, samples, z_threshold, stream):
+def _check_transform_roundtrip(params):
     lam = as_rational(params["lam"])
     x = as_rational(params["x"])
     n_max = int(params["n_max"])
@@ -465,78 +492,63 @@ def _check_transform_roundtrip(params, samples, z_threshold, stream):
     for n in range(n_max + 1):
         recovered = bell_from_lahbell_degenerate(n, forward[: n + 1])
         worst = max(worst, abs(recovered - bell_values[n]))
-    return _exact_report("transform-roundtrip", params, worst, Fraction(0))
+    return worst, 0
 
 
 def _binomial_from_params(params) -> DegenerateBinomial:
     return DegenerateBinomial(int(params["n"]), as_rational(params["p"]), as_rational(params["lam"]))
 
 
-@_identity("dbinomial-mean")
-def _check_dbinomial_mean(params, samples, z_threshold, stream):
-    d = _binomial_from_params(params)
-    return _exact_report("dbinomial-mean", params, d.mean(), moment_direct(d, MomentKind.RAW, 1))
-
-
-@_identity("dbinomial-variance")
-def _check_dbinomial_variance(params, samples, z_threshold, stream):
-    d = _binomial_from_params(params)
-    brute = moment_direct(d, MomentKind.RAW, 2) - moment_direct(d, MomentKind.RAW, 1) ** 2
-    return _exact_report("dbinomial-variance", params, d.variance(), brute)
-
-
-@_identity("dbinomial-normalization")
-def _check_dbinomial_normalization(params, samples, z_threshold, stream):
-    d = _binomial_from_params(params)
-    return _exact_report("dbinomial-normalization", params, sum(d.masses(), Fraction(0)), Fraction(1))
-
-
 def _dpoisson_from_params(params) -> DegeneratePoisson:
     return DegeneratePoisson(as_rational(params["alpha"]), as_rational(params["lam"]))
 
 
-@_identity("dpoisson-normalization")
-def _check_dpoisson_normalization(params, samples, z_threshold, stream):
+def _finite_dpoisson_from_params(params) -> DegeneratePoisson:
+    """Exact dpoisson checks sum over a finite support; an infinite one raises
+    _InfiniteSupport, which `verify_identity` reports as SKIPPED."""
     d = _dpoisson_from_params(params)
     if not d.finite_support:
-        return _skipped_report("dpoisson-normalization", params)
-    return _exact_report("dpoisson-normalization", params, sum(d.masses(), Fraction(0)), Fraction(1))
+        raise _InfiniteSupport
+    return d
 
 
-@_identity("dpoisson-mean")
-def _check_dpoisson_mean(params, samples, z_threshold, stream):
-    d = _dpoisson_from_params(params)
-    if not d.finite_support:
-        return _skipped_report("dpoisson-mean", params)
-    return _exact_report("dpoisson-mean", params, d.mean(), moment_direct(d, MomentKind.RAW, 1))
+def _register_family_checks(family: str, from_params: Callable[[dict], Distribution]) -> None:
+    """{family}-{normalization,mean,variance}: the masses sum to 1, and the
+    closed-form mean and variance equal the direct sums over the masses."""
+
+    @_identity(f"{family}-normalization")
+    def normalization(params):
+        return sum(from_params(params).masses(), Fraction(0)), 1
+
+    @_identity(f"{family}-mean")
+    def mean(params):
+        d = from_params(params)
+        return d.mean(), moment_direct(d, MomentKind.RAW, 1)
+
+    @_identity(f"{family}-variance")
+    def variance(params):
+        d = from_params(params)
+        brute = moment_direct(d, MomentKind.RAW, 2) - moment_direct(d, MomentKind.RAW, 1) ** 2
+        return d.variance(), brute
 
 
-@_identity("dpoisson-variance")
-def _check_dpoisson_variance(params, samples, z_threshold, stream):
-    d = _dpoisson_from_params(params)
-    if not d.finite_support:
-        return _skipped_report("dpoisson-variance", params)
-    brute = moment_direct(d, MomentKind.RAW, 2) - moment_direct(d, MomentKind.RAW, 1) ** 2
-    return _exact_report("dpoisson-variance", params, d.variance(), brute)
+_register_family_checks("dbinomial", _binomial_from_params)
+_register_family_checks("dpoisson", _finite_dpoisson_from_params)
 
 
 @_identity("dpoisson-rising-moment")
-def _check_dpoisson_rising_moment(params, samples, z_threshold, stream):
-    d = _dpoisson_from_params(params)
+def _check_dpoisson_rising_moment(params):
+    d = _finite_dpoisson_from_params(params)
     order = int(params["order"])
-    if not d.finite_support:
-        return _skipped_report("dpoisson-rising-moment", params)
     lhs = moment_direct(d, MomentKind.RISING, order)
     rhs = evaluate_degenerate(degenerate_lah_bell_polynomial(order, d.lam), d.alpha, d.lam)
-    return _exact_report("dpoisson-rising-moment", params, lhs, rhs)
+    return lhs, rhs
 
 
 @_identity("dpoisson-rising-expansion")
-def _check_dpoisson_rising_expansion(params, samples, z_threshold, stream):
-    d = _dpoisson_from_params(params)
+def _check_dpoisson_rising_expansion(params):
+    d = _finite_dpoisson_from_params(params)
     order = int(params["order"])
-    if not d.finite_support:
-        return _skipped_report("dpoisson-rising-expansion", params)
     lhs = moment_direct(d, MomentKind.RISING, order)
     ratio = d.alpha / (1 + d.lam * d.alpha)
     factors = degenerate_falling_factorials(1, order, d.lam)
@@ -547,58 +559,45 @@ def _check_dpoisson_rising_expansion(params, samples, z_threshold, stream):
             for k in range(l, order + 1)
         )
         rhs += inner * factors[l] * ratio**l
-    return _exact_report("dpoisson-rising-expansion", params, lhs, rhs)
+    return lhs, rhs
 
 
 @_identity("dpoisson-pgf")
-def _check_dpoisson_pgf(params, samples, z_threshold, stream):
-    d = _dpoisson_from_params(params)
+def _check_dpoisson_pgf(params):
+    d = _finite_dpoisson_from_params(params)
     t = as_rational(params["t"])
-    if not d.finite_support:
-        return _skipped_report("dpoisson-pgf", params)
-    return _exact_report("dpoisson-pgf", params, d.pgf(t), pgf_direct(d, t))
+    return d.pgf(t), pgf_direct(d, t)
 
 
 def _register_poisson_moment_check(kind: MomentKind) -> None:
     """poisson-{raw,falling,rising}-moment: sample estimate against `moment_target`."""
-    tag = f"poisson-{kind.value}-moment"
 
-    @_identity(tag)
-    def check(params, samples, z_threshold, stream):
+    @_identity(f"poisson-{kind.value}-moment", "STATISTICAL")
+    def check(params, samples, stream):
         d = poisson(as_rational(params["alpha"]))
         order = int(params["order"])
         est = estimate_moment(d, kind, order, samples, stream)
-        return _z_report(
-            tag, params, est.estimate, est.standard_error,
-            moment_target(d, kind, order), z_threshold, stream, samples,
-        )
+        return est.estimate, est.standard_error, moment_target(d, kind, order)
 
 
 for _kind in MomentKind:
     _register_poisson_moment_check(_kind)
 
 
-@_identity("poisson-pgf")
-def _check_poisson_pgf(params, samples, z_threshold, stream):
+@_identity("poisson-pgf", "STATISTICAL")
+def _check_poisson_pgf(params, samples, stream):
     alpha = as_rational(params["alpha"])
-    t = as_rational(params["t"])
-    d = poisson(alpha)
-    u = float(1 / (1 - t))
-    values = u ** draw_samples(d, samples, stream).astype(np.float64)
-    estimate = float(np.mean(values))
-    se = float(np.std(values, ddof=1)) / math.sqrt(samples)
-    target = math.exp(float(alpha) * (u - 1.0))
-    return _z_report("poisson-pgf", params, estimate, se, target, z_threshold, stream, samples)
+    u = float(1 / (1 - as_rational(params["t"])))
+    values = u ** draw_samples(poisson(alpha), samples, stream).astype(np.float64)
+    estimate, standard_error = _mean_and_standard_error(values)
+    return estimate, standard_error, math.exp(float(alpha) * (u - 1.0))
 
 
-@_identity("dpoisson-sample-mean")
-def _check_dpoisson_sample_mean(params, samples, z_threshold, stream):
+@_identity("dpoisson-sample-mean", "STATISTICAL")
+def _check_dpoisson_sample_mean(params, samples, stream):
     d = _dpoisson_from_params(params)
     est = estimate_moment(d, MomentKind.RAW, 1, samples, stream)
-    return _z_report(
-        "dpoisson-sample-mean", params, est.estimate, est.standard_error,
-        d.mean(), z_threshold, stream, samples,
-    )
+    return est.estimate, est.standard_error, d.mean()
 
 
 SUITES = ("stirling", "lahbell", "dbinomial", "dpoisson", "pgf")

@@ -105,6 +105,13 @@ class TestPoly:
         assert code == 0
         assert out.splitlines() == ["x,0,6,6,1", "value,44"]
 
+    def test_result_too_large_to_print_is_domain_error(self, capsys):
+        # the value has over 6000 digits, beyond Python's int-to-str limit
+        code, out, err = run_cli(capsys, "poly", "lahbell", "--n", "2", "--eval-at", "1" + "0" * 3000)
+        assert code == 4
+        assert out == ""
+        assert "too large to print" in err
+
 
 class TestVerify:
     def test_stirling_suite_passes(self, capsys, schema):
@@ -137,6 +144,21 @@ class TestVerify:
         lines = out.splitlines()
         assert lines[0].startswith("identity,mode,status")
         assert len(lines) == 4
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("stirling", "--n-max", "-1"),
+            ("dbinomial", "--n-max", "-1"),
+            ("dpoisson", "--z-threshold", "nan"),
+            ("dpoisson", "--z-threshold", "-1"),
+        ],
+    )
+    def test_invalid_flags_are_usage_errors(self, capsys, argv):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --")
 
 
 class TestSimulate:

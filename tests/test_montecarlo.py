@@ -25,6 +25,13 @@ from lahbell.montecarlo import _cumulative_table, moment_target, z_score
 
 WITNESS = DegenerateBinomial(3, Fraction(1, 10), Fraction(2, 5))
 DP_HALF = DegeneratePoisson(Fraction(1), Fraction(1, 2))
+STATISTICAL_TAGS = {
+    "poisson-raw-moment",
+    "poisson-falling-moment",
+    "poisson-rising-moment",
+    "poisson-pgf",
+    "dpoisson-sample-mean",
+}
 
 
 class TestSamplerStream:
@@ -206,8 +213,18 @@ class TestVerifyIdentity:
         assert report.status == "FAIL"
 
     def test_skipped_for_infinite_support_exact_check(self):
-        report = verify_identity("dpoisson-mean", {"alpha": Fraction(1), "lam": Fraction(2, 5)})
-        assert report.status == "SKIPPED"
+        common = {"alpha": Fraction(1), "lam": Fraction(2, 5)}
+        for tag, extra in (
+            ("dpoisson-normalization", {}),
+            ("dpoisson-mean", {}),
+            ("dpoisson-variance", {}),
+            ("dpoisson-rising-moment", {"order": 3}),
+            ("dpoisson-rising-expansion", {"order": 3}),
+            ("dpoisson-pgf", {"t": Fraction(1, 2)}),
+        ):
+            report = verify_identity(tag, {**common, **extra})
+            assert (report.identity, report.mode, report.status) == (tag, "EXACT", "SKIPPED"), tag
+            assert (report.lhs, report.rhs, report.discrepancy) == ("", "", "0"), tag
 
     def test_reports_are_byte_identical_across_reruns(self):
         kwargs = dict(samples=20_000, z_threshold=5.0)
@@ -232,8 +249,13 @@ class TestSuites:
             suite_instances("bogus")
 
     def test_all_suite_passes(self):
+        instances = suite_instances("all", n_max=10, seed=0)
         reports = run_suite("all", n_max=10, seed=0, trials=20_000)
         assert reports, "suite must not be empty"
+        assert len(reports) == len(instances)
+        for (tag, _), report in zip(instances, reports):
+            assert report.identity == tag
+            assert (report.mode == "STATISTICAL") == (tag in STATISTICAL_TAGS), tag
         assert all(r.status == "PASS" for r in reports)
 
     def test_suite_deterministic(self):
