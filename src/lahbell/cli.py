@@ -71,20 +71,18 @@ def cmd_table(args: argparse.Namespace) -> int:
         return _fail("--n-max must be nonnegative", 2)
     if args.n_max > args.cap:
         return _fail(f"--n-max {args.n_max} exceeds the cap {args.cap}", 3)
+    # format every entry before emitting any; the arrays match json.dumps
     if args.kind == "lahbell-numbers":
-        sequence = [lah_bell_number(n) for n in range(args.n_max + 1)]
-        if args.format == "json":
-            _emit(json.dumps(sequence))
-        else:
-            _emit(",".join(str(v) for v in sequence))
-        return 0
-    triangle = _TRIANGLES[args.kind]
-    rows = [list(triangle.row(n)) for n in range(args.n_max + 1)]
-    if args.format == "json":
-        _emit(json.dumps(rows))
+        rows = [[format_rational(lah_bell_number(n)) for n in range(args.n_max + 1)]]
     else:
+        rows = [[format_rational(v) for v in _TRIANGLES[args.kind].row(n)] for n in range(args.n_max + 1)]
+    if args.format == "csv":
         for row in rows:
-            _emit(",".join(str(v) for v in row))
+            _emit(",".join(row))
+    elif args.kind == "lahbell-numbers":
+        _emit("[" + ", ".join(rows[0]) + "]")
+    else:
+        _emit("[" + ", ".join("[" + ", ".join(row) + "]" for row in rows) + "]")
     return 0
 
 

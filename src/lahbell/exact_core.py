@@ -39,7 +39,8 @@ def format_rational(value: RationalLike) -> str:
     Raises DomainError when a part has more digits than Python's int-to-str
     limit allows.
     """
-    value = as_rational(value)
+    if not isinstance(value, int):
+        value = as_rational(value)
     try:
         if value.denominator == 1:
             return str(value.numerator)

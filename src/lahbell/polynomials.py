@@ -9,18 +9,19 @@ evaluating at a point x is a separate, explicit substitution step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import EvaluationError, LengthError
 from .exact_core import (
+    LAH_TRIANGLE,
+    STIRLING1_TRIANGLE,
+    STIRLING2_TRIANGLE,
     RationalLike,
     as_rational,
     degenerate_falling_factorials,
-    lah_number,
-    stirling1_signed,
-    stirling2,
 )
 
 
@@ -56,11 +57,16 @@ class RationalPolynomial:
         return Fraction(0)
 
     def evaluate(self, value: RationalLike) -> Fraction:
+        """Integer Horner over the lcm D of the coefficient denominators: at
+        p/q the value is sum_i D*c_i p**i q**(degree-i) / (D*q**degree)."""
         value = as_rational(value)
-        out = Fraction(0)
+        p, q = value.numerator, value.denominator
+        common = math.lcm(*(c.denominator for c in self.coefficients))
+        acc, q_power = 0, 1
         for c in reversed(self.coefficients):
-            out = out * value + c
-        return out
+            acc = acc * p + c.numerator * (common // c.denominator) * q_power
+            q_power *= q
+        return Fraction(acc, common * q**self.degree)
 
     def __add__(self, other: "RationalPolynomial") -> "RationalPolynomial":
         if not isinstance(other, RationalPolynomial):
@@ -87,22 +93,22 @@ def monomial(n: int, variable: str = "x") -> RationalPolynomial:
 
 def bell_polynomial(n: int) -> RationalPolynomial:
     """sum_k S2(n, k) x**k, whose value at 1 is the Bell number."""
-    return RationalPolynomial(tuple(Fraction(stirling2(n, k)) for k in range(n + 1)))
+    return RationalPolynomial(tuple(Fraction(s) for s in STIRLING2_TRIANGLE.row(n)))
 
 
 def bell_number(n: int) -> int:
     """Number of set partitions of an n-set."""
-    return sum(stirling2(n, k) for k in range(n + 1))
+    return sum(STIRLING2_TRIANGLE.row(n))
 
 
 def lah_bell_polynomial(n: int) -> RationalPolynomial:
     """sum_k L(n, k) x**k, the ordered-list analogue of the Bell polynomial."""
-    return RationalPolynomial(tuple(Fraction(lah_number(n, k)) for k in range(n + 1)))
+    return RationalPolynomial(tuple(Fraction(v) for v in LAH_TRIANGLE.row(n)))
 
 
 def lah_bell_number(n: int) -> int:
     """Partitions of an n-set into nonempty linearly ordered lists (any count)."""
-    return sum(lah_number(n, k) for k in range(n + 1))
+    return sum(LAH_TRIANGLE.row(n))
 
 
 def y_substitution(x: RationalLike, lam: RationalLike) -> Fraction:
@@ -125,7 +131,7 @@ def evaluate_degenerate(poly: RationalPolynomial, x: RationalLike, lam: Rational
 def degenerate_bell_polynomial(n: int, lam: RationalLike) -> RationalPolynomial:
     """Degenerate Bell polynomial in y: sum_k (1)(1-lam)...(1-(k-1)lam) S2(n, k) y**k."""
     factors = degenerate_falling_factorials(1, n, lam)
-    return RationalPolynomial(tuple(factors[k] * stirling2(n, k) for k in range(n + 1)), "y")
+    return RationalPolynomial(tuple(f * s for f, s in zip(factors, STIRLING2_TRIANGLE.row(n))), "y")
 
 
 def degenerate_lah_bell_polynomial(n: int, lam: RationalLike) -> RationalPolynomial:
@@ -135,21 +141,24 @@ def degenerate_lah_bell_polynomial(n: int, lam: RationalLike) -> RationalPolynom
     in which the coefficients first appear; the tests check the two agree.
     """
     factors = degenerate_falling_factorials(1, n, lam)
-    return RationalPolynomial(tuple(lah_number(n, l) * factors[l] for l in range(n + 1)), "y")
+    return RationalPolynomial(tuple(v * f for v, f in zip(LAH_TRIANGLE.row(n), factors)), "y")
 
 
 def degenerate_lah_bell_polynomial_via_bell(n: int, lam: RationalLike) -> RationalPolynomial:
-    """Same polynomial assembled the other way: a signed S1 combination of
-    degenerate Bell polynomials. Must agree with the Lah-number construction
-    coefficient by coefficient; the verification suite checks exactly that.
+    """Same polynomial assembled the other way: sum_k |S1(n, k)| Bel_{k,lam}(y).
+
+    Bel_{k,lam} has coefficients S2(k, l) (1)_{l,lam}, so coefficient l is the
+    integer Stirling product sum_k |S1(n, k)| S2(k, l) times (1)_{l,lam}. No
+    Lah number is read, so agreeing with the Lah-number construction
+    coefficient by coefficient is a real check; the verifier makes it.
     """
-    lam = as_rational(lam)
-    out = RationalPolynomial((Fraction(0),), "y")
-    for k in range(n + 1):
-        weight = (-1) ** (n - k) * stirling1_signed(n, k)
-        if weight:
-            out = out + degenerate_bell_polynomial(k, lam).scaled(weight)
-    return out
+    factors = degenerate_falling_factorials(1, n, lam)
+    products = [0] * (n + 1)
+    for k, s1 in enumerate(STIRLING1_TRIANGLE.row(n)):
+        weight = (-1) ** (n - k) * s1
+        for l, s2 in enumerate(STIRLING2_TRIANGLE.row(k)):
+            products[l] += weight * s2
+    return RationalPolynomial(tuple(p * f for p, f in zip(products, factors)), "y")
 
 
 def lahbell_from_bell(n: int, bell_values: Sequence[RationalLike]) -> Fraction:
@@ -161,8 +170,8 @@ def lahbell_from_bell(n: int, bell_values: Sequence[RationalLike]) -> Fraction:
     if len(bell_values) < n + 1:
         raise LengthError(f"need {n + 1} values, got {len(bell_values)}")
     return sum(
-        (Fraction((-1) ** (n - k) * stirling1_signed(n, k)) * as_rational(bell_values[k])
-         for k in range(n + 1)),
+        ((-1) ** (n - k) * s1 * as_rational(v)
+         for k, (s1, v) in enumerate(zip(STIRLING1_TRIANGLE.row(n), bell_values))),
         Fraction(0),
     )
 
@@ -176,8 +185,8 @@ def bell_from_lahbell_degenerate(n: int, lahbell_values: Sequence[RationalLike])
     if len(lahbell_values) < n + 1:
         raise LengthError(f"need {n + 1} values, got {len(lahbell_values)}")
     return sum(
-        (Fraction((-1) ** (n - k) * stirling2(n, k)) * as_rational(lahbell_values[k])
-         for k in range(n + 1)),
+        ((-1) ** (n - k) * s2 * as_rational(v)
+         for k, (s2, v) in enumerate(zip(STIRLING2_TRIANGLE.row(n), lahbell_values))),
         Fraction(0),
     )
 

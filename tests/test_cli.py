@@ -61,6 +61,26 @@ class TestTable:
             main(["table", "nope", "--n-max", "3"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("lah",),
+            ("s1",),
+            ("lahbell-numbers", "--format", "csv"),
+        ],
+    )
+    def test_entry_too_large_to_print_is_domain_error(self, capsys, argv):
+        # row 330 holds entries of about 690 digits, beyond a 640-digit limit
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, err = run_cli(capsys, "table", *argv, "--n-max", "330", "--cap", "330")
+        finally:
+            sys.set_int_max_str_digits(previous)
+        assert code == 4
+        assert out == ""
+        assert "too large to print" in err
+
 
 class TestPoly:
     def test_lahbell_eval(self, capsys, schema):
@@ -240,3 +260,20 @@ class TestPinnedExactOutput:
         assert len(exact) == 79
         digest = hashlib.sha256("".join(line + "\n" for line in exact).encode()).hexdigest()
         assert digest == self.VERIFY_ALL_EXACT_SHA256
+
+    # sha256 of the whole stdout of two deeper runs. The lahbell suite is all
+    # EXACT lines up to n = 30; the dpoisson suite also holds the statistical
+    # lines, whose floats come from numpy's PCG64 stream for the seed.
+    @pytest.mark.parametrize(
+        "argv, sha256",
+        [
+            (("lahbell", "--seed", "4", "--n-max", "30", "--trials", "1000"),
+             "2cac86d32b68ac951cada0b46b98f2d91da7712a805d4906cb023030b8613cfa"),
+            (("dpoisson", "--seed", "2"),
+             "b2eea36acc42bbfe7d782aad2aec1b4d999e27e1f42da0e498eedb3f60f470b7"),
+        ],
+    )
+    def test_verify_stdout_digest(self, capsys, argv, sha256):
+        code, out, _ = run_cli(capsys, "verify", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256

@@ -14,6 +14,7 @@ from lahbell import (
     draw_samples,
     estimate_moment,
     estimate_moment_partitioned,
+    format_rational,
     poisson,
     registered_identities,
     run_suite,
@@ -22,6 +23,7 @@ from lahbell import (
     verify_identity,
 )
 from lahbell.montecarlo import _cumulative_table, moment_target, z_score
+from oracles import degenerate_factor_product, falling_factorial_coefficients, stirling2_explicit
 
 WITNESS = DegenerateBinomial(3, Fraction(1, 10), Fraction(2, 5))
 DP_HALF = DegeneratePoisson(Fraction(1), Fraction(1, 2))
@@ -211,6 +213,25 @@ class TestVerifyIdentity:
             stream=SamplerStream(0, 0),
         )
         assert report.status == "FAIL"
+
+    def test_rising_expansion_rhs_is_the_double_stirling_sum(self):
+        # rhs = sum_l (sum_k (-1)**(n-k) s1(n,k) S2(k,l)) (1)_{l,lam} y**l with
+        # y = alpha/(1 + lam*alpha), rebuilt from the oracle Stirling numbers
+        instances = ((1, Fraction(1, 2)), (1, Fraction(1, 3)), (3, Fraction(1, 5)), (Fraction(7, 2), Fraction(1, 10)))
+        for alpha, lam in instances:
+            y = alpha / (1 + lam * alpha)
+            for order in (0, 1, 3, 6, 9):
+                s1 = falling_factorial_coefficients(order)
+                expected = sum(
+                    sum((-1) ** (order - k) * s1[k] * stirling2_explicit(k, l) for k in range(l, order + 1))
+                    * degenerate_factor_product(1, l, lam) * y**l
+                    for l in range(order + 1)
+                )
+                report = verify_identity(
+                    "dpoisson-rising-expansion", {"alpha": alpha, "lam": lam, "order": order}
+                )
+                assert report.status == "PASS"
+                assert report.rhs == format_rational(expected)
 
     def test_skipped_for_infinite_support_exact_check(self):
         common = {"alpha": Fraction(1), "lam": Fraction(2, 5)}

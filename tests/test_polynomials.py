@@ -47,6 +47,18 @@ class TestRationalPolynomial:
         direct = sum(c * x**i for i, c in enumerate(coeffs))
         assert poly.evaluate(x) == direct
 
+    @pytest.mark.parametrize(
+        "x", [Fraction(0), Fraction(-7, 4), Fraction(3), Fraction(-2), Fraction(11, 9)]
+    )
+    def test_evaluate_long_mixed_denominators(self, x):
+        # 30 coefficients over coprime denominators, zeros and integers included
+        denominators = (1, 2, 3, 5, 7, 11, 13, 4, 9, 25)
+        coeffs = [Fraction((-1) ** i * (3 * i + 1), denominators[i % len(denominators)]) for i in range(30)]
+        coeffs[4] = Fraction(0)
+        coeffs[17] = Fraction(-6)
+        poly = RationalPolynomial(tuple(coeffs))
+        assert poly.evaluate(x) == sum((c * x**i for i, c in enumerate(coeffs)), Fraction(0))
+
     def test_add_requires_same_variable(self):
         with pytest.raises(ValueError):
             monomial(1, "x") + monomial(1, "y")
@@ -117,6 +129,14 @@ class TestDegenerateFamilies:
             for n in range(13):
                 assert degenerate_lah_bell_polynomial(n, lam) == degenerate_lah_bell_polynomial_via_bell(n, lam)
 
+    @pytest.mark.parametrize("lam", [Fraction(0), Fraction(1, 7), Fraction(3, 5), Fraction(-2, 9)])
+    def test_via_bell_coefficients_match_double_stirling_sum(self, lam):
+        for n in range(31):
+            poly = degenerate_lah_bell_polynomial_via_bell(n, lam)
+            assert poly.variable == "y"
+            assert poly.degree <= n
+            assert [poly.coefficient(l) for l in range(n + 1)] == degenerate_lah_bell_coefficients(n, lam)
+
     @pytest.mark.parametrize("lam", [Fraction(0), Fraction(1, 7), Fraction(3, 5)])
     def test_lah_number_coefficients_match_double_stirling_sum(self, lam):
         for n in range(31):
@@ -135,6 +155,26 @@ class TestDegenerateFamilies:
             errors.append(abs(value - target))
         assert errors[0] >= errors[1] >= errors[2]
         assert errors[2] < 1e-4
+
+
+def test_every_builder_rejects_a_negative_order():
+    lam = Fraction(1, 3)
+    builders = [
+        lambda: monomial(-1),
+        lambda: bell_polynomial(-1),
+        lambda: bell_number(-1),
+        lambda: lah_bell_polynomial(-1),
+        lambda: lah_bell_number(-1),
+        lambda: degenerate_bell_polynomial(-1, lam),
+        lambda: degenerate_lah_bell_polynomial(-1, lam),
+        lambda: degenerate_lah_bell_polynomial_via_bell(-1, lam),
+        lambda: lahbell_from_bell(-1, []),
+        lambda: bell_from_lahbell_degenerate(-1, []),
+        lambda: lah_bell_series_coefficients(1, -1),
+    ]
+    for build in builders:
+        with pytest.raises(ValueError):
+            build()
 
 
 class TestTransforms:
