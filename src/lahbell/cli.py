@@ -71,18 +71,17 @@ def cmd_table(args: argparse.Namespace) -> int:
         return _fail("--n-max must be nonnegative", 2)
     if args.n_max > args.cap:
         return _fail(f"--n-max {args.n_max} exceeds the cap {args.cap}", 3)
-    # format every entry before emitting any; the arrays match json.dumps
     if args.kind == "lahbell-numbers":
-        rows = [[format_rational(lah_bell_number(n)) for n in range(args.n_max + 1)]]
+        data = [lah_bell_number(n) for n in range(args.n_max + 1)]
+        rows = [data]
     else:
-        rows = [[format_rational(v) for v in _TRIANGLES[args.kind].row(n)] for n in range(args.n_max + 1)]
-    if args.format == "csv":
-        for row in rows:
-            _emit(",".join(row))
-    elif args.kind == "lahbell-numbers":
-        _emit("[" + ", ".join(rows[0]) + "]")
-    else:
-        _emit("[" + ", ".join("[" + ", ".join(row) + "]" for row in rows) + "]")
+        rows = data = [list(_TRIANGLES[args.kind].row(n)) for n in range(args.n_max + 1)]
+    # build every line before emitting any, so an oversized entry leaves stdout empty
+    try:
+        lines = [json.dumps(data)] if args.format == "json" else [",".join(map(str, row)) for row in rows]
+    except ValueError as exc:
+        raise DomainError(f"result too large to print: {exc}") from exc
+    _emit("\n".join(lines))
     return 0
 
 

@@ -39,8 +39,7 @@ def format_rational(value: RationalLike) -> str:
     Raises DomainError when a part has more digits than Python's int-to-str
     limit allows.
     """
-    if not isinstance(value, int):
-        value = as_rational(value)
+    value = as_rational(value)
     try:
         if value.denominator == 1:
             return str(value.numerator)
