@@ -57,6 +57,7 @@ from .distributions import (
     SupportAnalysis,
     analyze_support,
     binomial,
+    moment,
     moment_direct,
     pgf_direct,
     poisson,

@@ -13,11 +13,7 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .distributions import (
-    DegenerateBinomial,
-    DegeneratePoisson,
-    MomentKind,
-)
+from .distributions import DegenerateBinomial, DegeneratePoisson, MomentKind, moment
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -31,7 +27,7 @@ from .exact_core import (
     STIRLING2_TRIANGLE,
     format_rational,
 )
-from .montecarlo import SUITES, SamplerStream, estimate_moment, moment_target, run_suite, z_score
+from .montecarlo import SUITES, SamplerStream, estimate_moment, run_suite, z_score
 from .polynomials import (
     bell_polynomial,
     degenerate_bell_polynomial,
@@ -179,8 +175,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return _fail("--samples must be at least 2", 2)
     kind = MomentKind(args.moment)
     estimate = estimate_moment(dist, kind, args.order, args.samples, SamplerStream(args.seed, 0))
-    target = moment_target(dist, kind, args.order)
-    target_str = format_rational(target) if isinstance(target, Fraction) else repr(float(target))
+    target = moment(dist, kind, args.order)
+    target_str = format_rational(target)
     z = z_score(estimate.estimate, estimate.standard_error, target)
 
     params = {}

@@ -3,7 +3,9 @@
 Both families take exact rational parameters and reduce to the classical
 binomial / Poisson distributions at lam = 0. Everything over a finite support
 is computed in exact rational arithmetic; floats appear only for irrational
-normalizers (exp, non-integer powers) and truncated infinite sums.
+normalizers (exp, non-integer powers) and truncated infinite sums. Each
+family supplies its falling factorial moments in closed form, exact for every
+admissible parameter; `moment` turns them into raw or rising moments.
 
 For some parameter choices the mass formulas go negative. The algebraic
 identities (normalization, moments, generating functions) hold for the signed
@@ -22,6 +24,8 @@ from typing import Callable, Iterator, Optional, Union
 
 from .errors import ConvergenceError, DomainError
 from .exact_core import (
+    LAH_TRIANGLE,
+    STIRLING2_TRIANGLE,
     RationalLike,
     as_rational,
     binomial_coefficient,
@@ -29,11 +33,8 @@ from .exact_core import (
     degenerate_exp_exact,
     degenerate_falling_factorial,
     degenerate_falling_factorials,
-    falling_factorial,
     format_rational,
-    rising_factorial,
 )
-from .polynomials import bell_polynomial, lah_bell_polynomial
 
 # Truncation policy for infinite-support sums: stop once the current term has
 # been below tol * (accumulated absolute sum) for several consecutive terms.
@@ -131,41 +132,34 @@ class DegenerateBinomial:
     def masses(self) -> list[Fraction]:
         return list(self._mass_table)
 
+    def _falling_moments(self, m: int) -> list[Fraction]:
+        """[E[(X)_0], ..., E[(X)_m]]: (n)_k (p)_{k,lam} / (1)_{k,lam} for k <= n, 0 beyond.
+
+        This is the degenerate Vandermonde sum (n)_k (p)_{k,lam} (1-k*lam)_{n-k,lam} / (1)_{n,lam}
+        with (1-k*lam)_{n-k,lam} = (1)_{n,lam} / (1)_{k,lam} cancelled; neither vanishes."""
+        top = min(m, self.n)
+        trials = degenerate_falling_factorials(self.n, top, 1)
+        successes = degenerate_falling_factorials(self.p, top, self.lam)
+        units = degenerate_falling_factorials(1, top, self.lam)
+        return [t * s / u for t, s, u in zip(trials, successes, units)] + [Fraction(0)] * (m - top)
+
     def mean(self) -> Fraction:
-        """Closed form n*p*(1-lam)(1-2*lam).../normalizer; zero for n = 0."""
-        if self.n == 0:
-            return Fraction(0)
-        return (
-            self.n
-            * self.p
-            * degenerate_falling_factorial(1 - self.lam, self.n - 1, self.lam)
-            / self.normalizer
-        )
+        """n*p: the degenerate factors of the first falling moment cancel."""
+        return self.n * self.p
 
     def variance(self) -> Fraction:
-        """Closed form for n >= 2; the leading factor there has no meaning for
-        n in {0, 1}, so those cases fall back to the exact support sum."""
-        if self.n <= 1:
-            mean = self.raw_moment(1)
-            return self.raw_moment(2) - mean * mean
-        mean = self.mean()
-        return (
-            self.n
-            * self.p
-            * degenerate_falling_factorial(1 - 2 * self.lam, self.n - 2, self.lam)
-            * ((self.n - 1) * self.p + 1 - self.n * self.lam - mean * (1 - self.lam))
-            / self.normalizer
-        )
+        """E[(X)_2] + E[X] - E[X]**2, valid for every n."""
+        _, first, second = self._falling_moments(2)
+        return second + first - first * first
 
     def raw_moment(self, m: int) -> Fraction:
-        """Exact sum of i**m over the support masses."""
-        return moment_direct(self, MomentKind.RAW, m)
+        return moment(self, MomentKind.RAW, m)
 
     def falling_factorial_moment(self, m: int) -> Fraction:
-        return moment_direct(self, MomentKind.FALLING, m)
+        return moment(self, MomentKind.FALLING, m)
 
     def rising_factorial_moment(self, m: int) -> Fraction:
-        return moment_direct(self, MomentKind.RISING, m)
+        return moment(self, MomentKind.RISING, m)
 
     def mgf(self, t: Union[float, RationalLike]) -> float:
         """Moment generating function at t, a float evaluation boundary."""
@@ -271,31 +265,22 @@ class DegeneratePoisson:
     def mean_variance(self) -> tuple[Fraction, Fraction]:
         return self.mean(), self.variance()
 
-    def raw_moment(self, m: int) -> Union[Fraction, float]:
-        """Bell-polynomial value at alpha in the classical case (exact), exact
-        support sum when finite, truncated float series otherwise."""
-        if m < 0:
-            raise ValueError("moment order must be nonnegative")
-        if self.classical:
-            return bell_polynomial(m).evaluate(self.alpha)
-        return moment_direct(self, MomentKind.RAW, m)
+    def _falling_moments(self, m: int) -> list[Fraction]:
+        """[E[(X)_0], ..., E[(X)_m]]: (1)_{k,lam} y**k with y = alpha/(1 + lam*alpha), exact
+        for every admissible lam (alpha**k at lam = 0, zero past a finite support's cutoff)."""
+        y = self.alpha / (1 + self.lam * self.alpha)
+        return [f * y**k for k, f in enumerate(degenerate_falling_factorials(1, m, self.lam))]
 
-    def falling_factorial_moment(self, m: int) -> Union[Fraction, float]:
-        """alpha**m in the classical case; direct expectation otherwise."""
-        if m < 0:
-            raise ValueError("moment order must be nonnegative")
-        if self.classical:
-            return self.alpha**m
-        return moment_direct(self, MomentKind.FALLING, m)
+    def raw_moment(self, m: int) -> Fraction:
+        """Degenerate Bell polynomial value at alpha; the Bell polynomial at lam = 0."""
+        return moment(self, MomentKind.RAW, m)
 
-    def rising_factorial_moment(self, m: int) -> Union[Fraction, float]:
-        """Lah-Bell polynomial value at alpha in the classical case; direct
-        expectation otherwise."""
-        if m < 0:
-            raise ValueError("moment order must be nonnegative")
-        if self.classical:
-            return lah_bell_polynomial(m).evaluate(self.alpha)
-        return moment_direct(self, MomentKind.RISING, m)
+    def falling_factorial_moment(self, m: int) -> Fraction:
+        return moment(self, MomentKind.FALLING, m)
+
+    def rising_factorial_moment(self, m: int) -> Fraction:
+        """Degenerate Lah-Bell polynomial value at alpha; the Lah-Bell polynomial at lam = 0."""
+        return moment(self, MomentKind.RISING, m)
 
     def pgf(self, t: RationalLike) -> Union[Fraction, float]:
         """Expectation of (1/(1-t))**X via the closed form.
@@ -337,12 +322,26 @@ def _pgf_argument(t: RationalLike) -> Fraction:
     return 1 / (1 - t)
 
 
-def _exact_kind_value(kind: MomentKind, order: int, i: int) -> Fraction:
-    if kind is MomentKind.RAW:
-        return Fraction(i) ** order
+def moment(d: Distribution, kind: Union[MomentKind, str], order: int) -> Fraction:
+    """Exact E[X**order], E[(X)_order] or E[<X>_order] from the family's
+    falling factorial moments: x**m = sum_k S2(m, k) (x)_k and
+    <x>_m = sum_k L(m, k) (x)_k."""
+    if order < 0:
+        raise ValueError("moment order must be nonnegative")
+    kind = MomentKind(kind)
+    falling = d._falling_moments(order)
     if kind is MomentKind.FALLING:
-        return falling_factorial(i, order)
-    return rising_factorial(i, order)
+        return falling[order]
+    row = (STIRLING2_TRIANGLE if kind is MomentKind.RAW else LAH_TRIANGLE).row(order)
+    return sum((c * f for c, f in zip(row, falling)), Fraction(0))
+
+
+def _exact_kind_value(kind: MomentKind, order: int, i: int) -> int:
+    if kind is MomentKind.RAW:
+        return i**order
+    if kind is MomentKind.FALLING:
+        return math.perm(i, order)
+    return math.perm(i + order - 1, order) if i else int(order == 0)
 
 
 def _float_kind_value(kind: MomentKind, order: int, i: int) -> float:

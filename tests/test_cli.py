@@ -277,3 +277,49 @@ class TestPinnedExactOutput:
         code, out, _ = run_cli(capsys, "verify", *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+    # sha256 of the whole stdout of `lahbell simulate --samples 3000 --seed 11`:
+    # one run per distribution and moment kind, dbinomial at n = 0 and n = 1,
+    # and a signed-mass run, which exits 5 with empty stdout. The estimate
+    # floats come from numpy's PCG64 stream for the seed.
+    @pytest.mark.parametrize(
+        "argv, code, sha256",
+        [
+            (("poisson", "--alpha", "3/2", "--moment", "raw", "--order", "3"), 0,
+             "a9c18afb4f004d6a7b523d3b71a22ef3979bbb67e972a2186e4162bcfc2b3722"),
+            (("poisson", "--alpha", "3/2", "--moment", "falling", "--order", "3"), 0,
+             "b72823e6149edab7834e7ce2570772f802ae4523b29913180fbd938709db957d"),
+            (("poisson", "--alpha", "3/2", "--moment", "rising", "--order", "3"), 0,
+             "38c38a2f70eb70eda550aec71cb340fe22db84cfa332f3ca84fb83f52326d065"),
+            (("binomial", "--n", "6", "--p", "2/5", "--moment", "raw", "--order", "2"), 0,
+             "b1480ead3b5b9645db70efceab4198f809897173de45925c8d0d0c49f91f0c57"),
+            (("binomial", "--n", "6", "--p", "2/5", "--moment", "falling", "--order", "2"), 0,
+             "e9478a2cf88e9ea5bd0b9f452645b4424b21cd966b18fa923601c744678a0da9"),
+            (("binomial", "--n", "6", "--p", "2/5", "--format", "csv", "--moment", "rising", "--order", "2"), 0,
+             "3ee9da9d7206d094ba10ecb951f54f04e22ad21c0525581946ac87f3fe630d7f"),
+            (("dpoisson", "--alpha", "2", "--lambda", "1/5", "--moment", "raw", "--order", "3"), 0,
+             "18b4dff3447d07b6428844a20ef4043cf248e1c9de4681331556df5d9628a0d3"),
+            (("dpoisson", "--alpha", "2", "--lambda", "1/5", "--moment", "falling", "--order", "3"), 0,
+             "f44ccf087328f0cf9c8b8b9bd30101c8ef41b51a7249ccc7263114587f048c9f"),
+            (("dpoisson", "--alpha", "2", "--lambda", "1/5", "--moment", "rising", "--order", "3"), 0,
+             "c39bc0c90bcbdd5848b666e80cb72f1c38444d2986925dfe9e10e25398916abc"),
+            (("dbinomial", "--n", "7", "--p", "1/3", "--lambda", "1/9", "--moment", "raw", "--order", "4"), 0,
+             "ae7afacd9d83ff54a1a15fadc64f360e61959a2a4f489b5a05cc6e0cad107dc0"),
+            (("dbinomial", "--n", "7", "--p", "1/3", "--lambda", "1/9", "--moment", "falling", "--order", "4"), 0,
+             "d6bccf1cfafba445b743569550a1aef5aa45ef1f0386ee4bbb9f539f7505fbe0"),
+            (("dbinomial", "--n", "7", "--p", "1/3", "--lambda", "1/9", "--moment", "rising", "--order", "4"), 0,
+             "6136f9bd6e524b06d1a61e9cfe4b6d95db38257942d9f10aa01849520ebeacb0"),
+            (("dbinomial", "--n", "0", "--p", "1/3", "--lambda", "1/4", "--moment", "raw", "--order", "2"), 0,
+             "cd95619bbc0e87daef7db181c515ee2a62e90b62b792c8b37201aad97405e802"),
+            (("dbinomial", "--n", "1", "--p", "1/4", "--lambda", "2/3", "--moment", "rising", "--order", "2"), 0,
+             "c47645cd33121ce23b44e26552dd5d0c39bf721d1f098fd7fd5748ccc6d9c45e"),
+            (("dbinomial", "--n", "3", "--p", "1/10", "--lambda", "2/5", "--moment", "raw", "--order", "1"), 5,
+             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        ],
+    )
+    def test_simulate_stdout_digest(self, capsys, argv, code, sha256):
+        exit_code, out, _ = run_cli(
+            capsys, "simulate", "--dist", *argv, "--samples", "3000", "--seed", "11"
+        )
+        assert exit_code == code
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256

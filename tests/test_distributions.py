@@ -14,6 +14,7 @@ from lahbell import (
     analyze_support,
     bell_polynomial,
     binomial,
+    degenerate_bell_polynomial,
     degenerate_lah_bell_polynomial,
     evaluate_degenerate,
     lah_bell_polynomial,
@@ -121,12 +122,19 @@ class TestDegenerateBinomialMoments:
 
     def test_closed_forms_match_brute_force(self):
         rng = random.Random(2)
-        for _ in range(40):
+        signed = 0
+        for _ in range(300):
             d = random_degenerate_binomial(rng)
             mean_brute = moment_direct(d, MomentKind.RAW, 1)
             var_brute = moment_direct(d, MomentKind.RAW, 2) - mean_brute**2
             assert d.mean() == mean_brute
             assert d.variance() == var_brute
+            for order in range(8):
+                assert d.raw_moment(order) == moment_direct(d, MomentKind.RAW, order)
+                assert d.falling_factorial_moment(order) == moment_direct(d, MomentKind.FALLING, order)
+                assert d.rising_factorial_moment(order) == moment_direct(d, MomentKind.RISING, order)
+            signed += any(mass < 0 for mass in d.masses())
+        assert signed, "draws must cover a signed regime"
 
     def test_small_n_variance_brute_path(self):
         assert DegenerateBinomial(0, Fraction(1, 2), Fraction(1, 3)).variance() == 0
@@ -236,6 +244,10 @@ class TestDegeneratePoissonMoments:
             var_brute = moment_direct(d, MomentKind.RAW, 2) - mean_brute**2
             assert d.mean() == mean_brute
             assert d.variance() == var_brute
+            for order in range(9):
+                assert d.raw_moment(order) == moment_direct(d, MomentKind.RAW, order)
+                assert d.falling_factorial_moment(order) == moment_direct(d, MomentKind.FALLING, order)
+                assert d.rising_factorial_moment(order) == moment_direct(d, MomentKind.RISING, order)
 
     def test_rising_moment_example(self):
         d = DegeneratePoisson(Fraction(1), Fraction(1, 2))
@@ -274,12 +286,30 @@ class TestDegeneratePoissonMoments:
                     bell_polynomial(order).evaluate(alpha),
                 )
 
-    def test_infinite_degenerate_moments_are_floats(self):
-        d = DegeneratePoisson(Fraction(1), Fraction(2, 5))
-        value = d.rising_factorial_moment(2)
-        assert isinstance(value, float)
-        target = evaluate_degenerate(degenerate_lah_bell_polynomial(2, d.lam), d.alpha, d.lam)
-        assert value == pytest.approx(float(target), rel=1e-10)
+    def test_infinite_degenerate_moments_are_exact(self):
+        pairs = (
+            (Fraction(1), Fraction(2, 5)),
+            (Fraction(1, 2), Fraction(1, 7)),
+            (Fraction(1), Fraction(3, 5)),
+            (Fraction(3), Fraction(1, 7)),
+            (Fraction(2), Fraction(2, 9)),
+        )
+        infinite = 0
+        for alpha, lam in pairs:
+            d = DegeneratePoisson(alpha, lam)
+            infinite += not d.finite_support
+            for order in range(7):
+                rising = d.rising_factorial_moment(order)
+                raw = d.raw_moment(order)
+                assert isinstance(rising, Fraction) and isinstance(raw, Fraction)
+                assert rising == evaluate_degenerate(degenerate_lah_bell_polynomial(order, lam), alpha, lam)
+                assert raw == evaluate_degenerate(degenerate_bell_polynomial(order, lam), alpha, lam)
+                assert rel_close(rising, moment_direct(d, MomentKind.RISING, order), tol=1e-9)
+                assert rel_close(raw, moment_direct(d, MomentKind.RAW, order), tol=1e-9)
+                assert rel_close(
+                    d.falling_factorial_moment(order), moment_direct(d, MomentKind.FALLING, order), tol=1e-9
+                )
+        assert infinite == 3, "lam = 1/7 gives a finite support; the other three pairs do not"
 
 
 class TestPgf:

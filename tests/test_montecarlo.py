@@ -22,7 +22,8 @@ from lahbell import (
     suite_instances,
     verify_identity,
 )
-from lahbell.montecarlo import _cumulative_table, moment_target, z_score
+from lahbell.distributions import moment
+from lahbell.montecarlo import _cumulative_table, z_score
 from oracles import degenerate_factor_product, falling_factorial_coefficients, stirling2_explicit
 
 WITNESS = DegenerateBinomial(3, Fraction(1, 10), Fraction(2, 5))
@@ -140,13 +141,13 @@ class TestZScore:
 class TestMomentTarget:
     def test_classical_poisson_closed_forms(self):
         d = poisson(2)
-        assert moment_target(d, MomentKind.FALLING, 2) == 4
-        assert moment_target(d, MomentKind.RISING, 3) == 44
-        assert moment_target(d, "raw", 3) == 22
+        assert moment(d, MomentKind.FALLING, 2) == 4
+        assert moment(d, MomentKind.RISING, 3) == 44
+        assert moment(d, "raw", 3) == 22
 
     def test_finite_instance_is_exact(self):
-        assert moment_target(DP_HALF, MomentKind.RAW, 1) == DP_HALF.mean()
-        assert moment_target(WITNESS, MomentKind.RAW, 2) == WITNESS.raw_moment(2)
+        assert moment(DP_HALF, MomentKind.RAW, 1) == DP_HALF.mean()
+        assert moment(WITNESS, MomentKind.RAW, 2) == WITNESS.raw_moment(2)
 
 
 class TestPartitionedEstimation:
