@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -67,6 +68,17 @@ def cmd_table(args: argparse.Namespace) -> int:
         return _fail("--n-max must be nonnegative", 2)
     if args.n_max > args.cap:
         return _fail(f"--n-max {args.n_max} exceeds the cap {args.cap}", 3)
+    # L(n,1) = n!, |s1(n,1)| = (n-1)! and the n-th Lah-Bell number exceeds n!, so
+    # these tables hold an entry of at least (n_max-1)!: refuse before building rows
+    # when that alone has more digits than str() may print; S2 keeps the late catch
+    limit = sys.get_int_max_str_digits()
+    if args.kind != "s2" and limit and args.n_max >= 2:
+        digits = math.lgamma(args.n_max) / math.log(10)
+        if digits >= limit + 1:
+            raise DomainError(
+                f"result too large to print: row {args.n_max} holds an entry of at least "
+                f"{int(digits)} digits, beyond the {limit}-digit limit"
+            )
     if args.kind == "lahbell-numbers":
         data = [lah_bell_number(n) for n in range(args.n_max + 1)]
         rows = [data]

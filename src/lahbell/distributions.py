@@ -227,15 +227,20 @@ class DegeneratePoisson:
         )
 
     def pmf(self, i: int) -> Union[Fraction, float]:
-        """Exact rational on a finite support, float otherwise."""
+        """Exact rational on a finite support, float otherwise.
+
+        With lam = 1/m and alpha = a/b the mass is the binomial one,
+        C(m,i) a**i (m*b)**(m-i) / (m*b + a)**m, computed without the table.
+        """
         if i < 0:
             raise ValueError("index must be nonnegative")
         if self.finite_support:
-            table = self._mass_table
-            return table[i] if i < len(table) else Fraction(0)
+            m = self.support_cutoff
+            if i > m:
+                return Fraction(0)
+            a, b = self.alpha.numerator, self.alpha.denominator
+            return Fraction(math.comb(m, i) * a**i * (m * b) ** (m - i), (m * b + a) ** m)
         mass = float(self.alpha**i * degenerate_falling_factorial(1, i, self.lam) / math.factorial(i))
-        if self.classical:
-            return math.exp(-float(self.alpha)) * mass
         return degenerate_exp_eval(-1, self.alpha, self.lam) * mass
 
     def masses(self) -> list[Fraction]:
@@ -246,10 +251,7 @@ class DegeneratePoisson:
         """Infinite-support masses, built incrementally in float."""
         alpha = float(self.alpha)
         lam = float(self.lam)
-        if self.classical:
-            mass = math.exp(-alpha)
-        else:
-            mass = degenerate_exp_eval(-1, self.alpha, self.lam)
+        mass = degenerate_exp_eval(-1, self.alpha, self.lam)
         i = 0
         while True:
             yield mass
@@ -285,21 +287,15 @@ class DegeneratePoisson:
     def pgf(self, t: RationalLike) -> Union[Fraction, float]:
         """Expectation of (1/(1-t))**X via the closed form.
 
-        Exact rational when the support is finite; float through exp /
-        degenerate exponentials otherwise.
+        With u = 1/(1-t), e_lam(alpha)**-1 * e_lam(alpha*u) is the single
+        degenerate exponential e_lam(s) at s = alpha*(u-1)/(1 + lam*alpha);
+        exp(alpha*(u-1)) at lam = 0. Exact rational when the support is
+        finite, a float otherwise.
         """
-        u = _pgf_argument(t)
+        s = self.alpha * (_pgf_argument(t) - 1) / (1 + self.lam * self.alpha)
         if self.finite_support:
-            base = 1 + self.lam * self.alpha * u
-            if base <= 0:
-                raise DomainError("generating-function argument outside the domain")
-            m = self.support_cutoff
-            return (base / (1 + self.lam * self.alpha)) ** m
-        if self.classical:
-            return math.exp(float(self.alpha * (u - 1)))
-        return degenerate_exp_eval(-1, self.alpha, self.lam) * degenerate_exp_eval(
-            1, self.alpha * u, self.lam
-        )
+            return degenerate_exp_exact(1, s, self.lam)
+        return degenerate_exp_eval(1, s, self.lam)
 
 
 Distribution = Union[DegenerateBinomial, DegeneratePoisson]
@@ -344,16 +340,6 @@ def _exact_kind_value(kind: MomentKind, order: int, i: int) -> int:
     return math.perm(i + order - 1, order) if i else int(order == 0)
 
 
-def _float_kind_value(kind: MomentKind, order: int, i: int) -> float:
-    if kind is MomentKind.RAW:
-        return float(i) ** order
-    out = 1.0
-    step = -1.0 if kind is MomentKind.FALLING else 1.0
-    for j in range(order):
-        out *= i + step * j
-    return out
-
-
 def moment_direct(d: Distribution, kind: MomentKind, order: int) -> Union[Fraction, float]:
     """Expectation of the chosen power kind straight from the masses.
 
@@ -365,9 +351,10 @@ def moment_direct(d: Distribution, kind: MomentKind, order: int) -> Union[Fracti
     if order < 0:
         raise ValueError("moment order must be nonnegative")
     kind = MomentKind(kind)
+    weight = lambda i: _exact_kind_value(kind, order, i)
     if d.finite_support:
-        return _finite_expectation(d, lambda i: _exact_kind_value(kind, order, i))
-    return _truncated_sum(d, lambda i: _float_kind_value(kind, order, i))
+        return _finite_expectation(d, weight)
+    return _truncated_sum(d, weight)
 
 
 def pgf_direct(d: Distribution, t: RationalLike) -> Union[Fraction, float]:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 from importlib import resources
 
 import jsonschema
@@ -70,11 +71,28 @@ class TestTable:
         ],
     )
     def test_entry_too_large_to_print_is_domain_error(self, capsys, argv):
-        # row 330 holds entries of about 690 digits, beyond a 640-digit limit
+        # row 330 holds entries of about 690 digits, beyond a 640-digit limit;
+        # row 1700 is refused under the default limit before any row is built
+        previous = sys.get_int_max_str_digits()
+        for limit, n_max in ((640, 330), (sys.int_info.default_max_str_digits, 1700)):
+            sys.set_int_max_str_digits(limit)
+            start = time.perf_counter()
+            try:
+                code, out, err = run_cli(capsys, "table", *argv, "--n-max", str(n_max), "--cap", str(n_max))
+            finally:
+                sys.set_int_max_str_digits(previous)
+            assert time.perf_counter() - start < 2.0
+            assert code == 4
+            assert out == ""
+            assert "too large to print" in err
+
+    def test_s2_entry_too_large_is_caught_after_the_rows(self, capsys):
+        # S2 has no factorial lower bound, so it keeps the catch at print time:
+        # row 420 holds an entry of 683 digits
         previous = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(640)
         try:
-            code, out, err = run_cli(capsys, "table", *argv, "--n-max", "330", "--cap", "330")
+            code, out, err = run_cli(capsys, "table", "s2", "--n-max", "420", "--cap", "420")
         finally:
             sys.set_int_max_str_digits(previous)
         assert code == 4

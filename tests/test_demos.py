@@ -1,5 +1,6 @@
-"""Each script in demos/ runs to completion and prints its walkthrough."""
+"""Each script in demos/ runs to completion and prints its walkthrough, byte for byte."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -9,6 +10,12 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+STDOUT_SHA256 = {
+    "01_number_triangles": "95a630b6e7521f5128f24dbece61af4f2350ae58b7cb26250927bc589d23476f",
+    "02_lah_bell_polynomials": "b67dfffa9e01b4863dbfaf2fcb865aaaf6523ec2296db0dcfb2be33d41b1d4d7",
+    "03_degenerate_random_variables": "931fab6a7a7f9dbd9f3c14651459af5a32eb52b6f44e97e35010c04ff75e38ba",
+    "04_monte_carlo_verification": "6a14a6c95b25b5a212921f878c9b686938b7a0a49101d7b188a4b06afb59fb37",
+}
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
@@ -18,3 +25,4 @@ def test_demo_runs(demo):
     result = subprocess.run([sys.executable, str(demo)], capture_output=True, env=env, timeout=120)
     assert result.returncode == 0, result.stderr.decode()
     assert result.stdout.strip()
+    assert hashlib.sha256(result.stdout).hexdigest() == STDOUT_SHA256[demo.stem]

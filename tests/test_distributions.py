@@ -1,5 +1,8 @@
+import hashlib
+import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -26,6 +29,7 @@ from lahbell.montecarlo import random_degenerate_binomial
 from oracles import degenerate_binomial_mass
 
 WITNESS = DegenerateBinomial(3, Fraction(1, 10), Fraction(2, 5))
+PGF_ARGUMENTS = (Fraction(1, 4), Fraction(-1, 4), Fraction(1, 2), Fraction(-1, 2))
 
 
 def rel_close(a, b, tol=1e-8):
@@ -226,9 +230,46 @@ class TestDegeneratePoissonPmf:
             d = DegeneratePoisson(Fraction(1, 2), Fraction(1, m))
             assert sum(d.masses()) == 1
 
+    def test_finite_pmf_is_the_binomial_mass(self):
+        # DegeneratePoisson(alpha, 1/m) is Binomial(m, alpha/(m + alpha))
+        for alpha in (Fraction(1, 2), Fraction(3), Fraction(37, 3)):
+            for m in (2, 5, 17, 40):
+                d = DegeneratePoisson(alpha, Fraction(1, m))
+                masses = d.masses()
+                for i in range(m + 1):
+                    assert d.pmf(i) == masses[i]
+                    assert d.pmf(i) == degenerate_binomial_mass(m, alpha / (m + alpha), 0, i)
+                assert d.pmf(m + 1) == 0
+
+    def test_single_finite_pmf_skips_the_mass_table(self):
+        d = DegeneratePoisson(Fraction(3, 2), Fraction(1, 8000))
+        start = time.perf_counter()
+        mass = d.pmf(3)
+        assert time.perf_counter() - start < 2.0
+        assert mass == degenerate_binomial_mass(8000, Fraction(3, 2) / (8000 + Fraction(3, 2)), 0, 3)
+
     def test_classical_pmf_is_float(self):
         p = poisson(2)
         assert p.pmf(3) == pytest.approx(math.exp(-2) * 8 / 6, rel=1e-12)
+
+    def test_float_boundary_digest(self):
+        # sha256 of the classical pmf, mass stream and pgf reprs plus four exact
+        # finite pgf values; any change to one of these floats changes it
+        parts = []
+        for alpha in (Fraction(1, 2), Fraction(2), Fraction(37, 3)):
+            d = poisson(alpha)
+            parts += [repr(d.pmf(i)) for i in range(41)]
+            parts += [repr(mass) for mass in itertools.islice(d._float_mass_stream(), 60)]
+            parts += [repr(d.pgf(t)) for t in PGF_ARGUMENTS]
+        for alpha, lam in (
+            (Fraction(1), Fraction(1, 2)),
+            (Fraction(2), Fraction(1, 5)),
+            (Fraction(3, 2), Fraction(1, 7)),
+            (Fraction(37, 3), Fraction(1, 40)),
+        ):
+            parts += [repr(DegeneratePoisson(alpha, lam).pgf(t)) for t in PGF_ARGUMENTS]
+        digest = hashlib.sha256("\n".join(parts).encode()).hexdigest()
+        assert digest == "dc8f6ba5ee0b6abf23fa44d0f1ec2ef23434c5875ca09e7d1a119576c8efde3b"
 
 
 class TestDegeneratePoissonMoments:
@@ -334,8 +375,17 @@ class TestPgf:
         assert pgf_direct(p, Fraction(1, 2)) == pytest.approx(math.e, abs=1e-9)
         for alpha in (Fraction(1), Fraction(5, 2)):
             d = poisson(alpha)
-            for t in (Fraction(1, 4), Fraction(-1, 4), Fraction(1, 2), Fraction(-1, 2)):
+            for t in PGF_ARGUMENTS:
                 assert rel_close(pgf_direct(d, t), d.pgf(t))
+        # infinite-support degenerate instances, where |lam*alpha*u| < 1 keeps the direct sum convergent
+        degenerate = 0
+        for alpha, lam in ((Fraction(1), Fraction(2, 5)), (Fraction(1), Fraction(3, 5)), (Fraction(2), Fraction(2, 9))):
+            d = DegeneratePoisson(alpha, lam)
+            assert not d.finite_support
+            for t in (Fraction(1, 4), Fraction(-1, 4), Fraction(-1, 2)):
+                assert rel_close(d.pgf(t), pgf_direct(d, t), tol=1e-12)
+                degenerate += 1
+        assert degenerate == 9
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
