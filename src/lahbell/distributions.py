@@ -28,7 +28,6 @@ from .exact_core import (
     STIRLING2_TRIANGLE,
     RationalLike,
     as_rational,
-    binomial_coefficient,
     degenerate_exp_eval,
     degenerate_exp_exact,
     degenerate_falling_factorial,
@@ -105,32 +104,27 @@ class DegenerateBinomial:
         return True
 
     @cached_property
-    def _mass_table(self) -> tuple[Fraction, ...]:
-        """Exact masses 0..n from one prefix list for p and one for 1 - p."""
-        n = self.n
-        successes = degenerate_falling_factorials(self.p, n, self.lam)
-        failures = degenerate_falling_factorials(1 - self.p, n, self.lam)
-        normalizer = self.normalizer
-        return tuple(
-            binomial_coefficient(n, i) * successes[i] * failures[n - i] / normalizer
-            for i in range(n + 1)
-        )
+    def _mass_table(self) -> tuple[tuple[int, ...], int]:
+        """Integer numerators of the masses 0..n over one positive denominator."""
+        return _binomial_mass_numerators(self.n, self.p, self.lam)
 
     @property
     def support_cutoff(self) -> int:
         """Last index with nonzero mass."""
-        table = self._mass_table
-        return next((i for i in range(self.n, -1, -1) if table[i] != 0), 0)
+        nums, _ = self._mass_table
+        return next((i for i in range(self.n, -1, -1) if nums[i]), 0)
 
     def pmf(self, i: int) -> Fraction:
         if i < 0:
             raise ValueError("index must be nonnegative")
         if i > self.n:
             return Fraction(0)
-        return self._mass_table[i]
+        nums, den = self._mass_table
+        return Fraction(nums[i], den)
 
     def masses(self) -> list[Fraction]:
-        return list(self._mass_table)
+        nums, den = self._mass_table
+        return [Fraction(x, den) for x in nums]
 
     def _falling_moments(self, m: int) -> list[Fraction]:
         """[E[(X)_0], ..., E[(X)_m]]: (n)_k (p)_{k,lam} / (1)_{k,lam} for k <= n, 0 beyond.
@@ -164,7 +158,11 @@ class DegenerateBinomial:
     def mgf(self, t: Union[float, RationalLike]) -> float:
         """Moment generating function at t, a float evaluation boundary."""
         t_float = float(t) if isinstance(t, float) else float(as_rational(t))
-        return _finite_expectation(self, lambda i: math.exp(i * t_float))
+        nums, den = self._mass_table
+        total = 0.0
+        for i, x in enumerate(nums):
+            total += math.exp(i * t_float) * (x / den)
+        return total
 
     def pgf(self, t: RationalLike) -> Fraction:
         """Expectation of (1/(1-t))**X, exact over the finite support."""
@@ -214,17 +212,13 @@ class DegeneratePoisson:
         return self.lam == 0
 
     @cached_property
-    def _mass_table(self) -> tuple[Fraction, ...]:
-        """Exact masses 0..cutoff from one prefix list; finite support only."""
-        cutoff = self.support_cutoff
-        if cutoff is None:
+    def _mass_table(self) -> tuple[tuple[int, ...], int]:
+        """Finite support only: with lam = 1/m this is the mass table of the
+        classical Binomial(m, alpha/(m + alpha))."""
+        m = self.support_cutoff
+        if m is None:
             raise DomainError("exact mass table requires a finite support")
-        factors = degenerate_falling_factorials(1, cutoff, self.lam)
-        normalizer = degenerate_exp_exact(-1, self.alpha, self.lam)
-        return tuple(
-            normalizer * (self.alpha**i * factors[i] / math.factorial(i))
-            for i in range(cutoff + 1)
-        )
+        return _binomial_mass_numerators(m, self.alpha / (m + self.alpha), Fraction(0))
 
     def pmf(self, i: int) -> Union[Fraction, float]:
         """Exact rational on a finite support, float otherwise.
@@ -245,7 +239,8 @@ class DegeneratePoisson:
 
     def masses(self) -> list[Fraction]:
         """Exact mass table; only defined for finite support."""
-        return list(self._mass_table)
+        nums, den = self._mass_table
+        return [Fraction(x, den) for x in nums]
 
     def _float_mass_stream(self) -> Iterator[float]:
         """Infinite-support masses, built incrementally in float."""
@@ -311,6 +306,31 @@ def binomial(n: int, p: RationalLike) -> DegenerateBinomial:
     return DegenerateBinomial(n, as_rational(p), Fraction(0))
 
 
+def _binomial_mass_numerators(n: int, p: Fraction, lam: Fraction) -> tuple[tuple[int, ...], int]:
+    """Degenerate binomial masses 0..n as integer numerators over one denominator.
+
+    With p = a/b and lam = c/e, mass_i = C(n,i) A_i B_{n-i} / (b**n N), where
+    A_i = prod_{j<i} (a*e - j*b*c), B_k = prod_{j<k} ((b-a)*e - j*b*c) and
+    N = prod_{j<n} (e - j*c) = e**n times the normalizer. Signs are flipped
+    when N < 0, so the denominator is always positive.
+    """
+    a, b = p.numerator, p.denominator
+    c, e = lam.numerator, lam.denominator
+    successes, failures, normalizer = [1], [1], 1
+    for j in range(n):
+        successes.append(successes[-1] * (a * e - j * b * c))
+        failures.append(failures[-1] * ((b - a) * e - j * b * c))
+        normalizer *= e - j * c
+    nums, choose = [], 1
+    for i in range(n + 1):
+        nums.append(choose * successes[i] * failures[n - i])
+        choose = choose * (n - i) // (i + 1)
+    den = b**n * normalizer
+    if den < 0:
+        return tuple(-x for x in nums), -den
+    return tuple(nums), den
+
+
 def _pgf_argument(t: RationalLike) -> Fraction:
     t = as_rational(t)
     if abs(t) >= 1:
@@ -364,17 +384,23 @@ def pgf_direct(d: Distribution, t: RationalLike) -> Union[Fraction, float]:
     """
     u = _pgf_argument(t)
     if d.finite_support:
-        return _finite_expectation(d, lambda i: u**i)
+        # integer Horner at u = r/q: sum_i nums_i r**i q**(n-i) / (den q**n)
+        nums, den = d._mass_table
+        r, q = u.numerator, u.denominator
+        acc, q_power = 0, 1
+        for x in reversed(nums):
+            acc = acc * r + x * q_power
+            q_power *= q
+        return Fraction(acc, den * q ** (len(nums) - 1))
     u_float = float(u)
     return _truncated_sum(d, lambda i: u_float**i)
 
 
-def _finite_expectation(d: Distribution, weight: Callable[[int], object]) -> Union[Fraction, float]:
-    """Sum of weight(i) * mass_i over a finite support's mass table.
-
-    Exact when the weights are rational; float weights give a float.
-    """
-    return sum((weight(i) * mass for i, mass in enumerate(d._mass_table)), Fraction(0))
+def _finite_expectation(d: Distribution, weight: Callable[[int], int]) -> Fraction:
+    """Sum of weight(i) * mass_i over a finite support's mass table, for
+    integer weights: one integer dot product, reduced once."""
+    nums, den = d._mass_table
+    return Fraction(sum(weight(i) * x for i, x in enumerate(nums)), den)
 
 
 def _truncated_sum(d: DegeneratePoisson, weight: Callable[[int], float]) -> float:
@@ -420,14 +446,13 @@ def analyze_support(d: Distribution, horizon: int = 64) -> SupportAnalysis:
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     if d.finite_support:
-        masses = d._mass_table
+        # the table's denominator is positive, so numerator signs are mass signs
+        nums, _ = d._mass_table
         cutoff = d.support_cutoff
-        negatives = tuple(
-            i for i in range(min(horizon, cutoff) + 1) if masses[i] < 0
-        )
-        all_nonnegative = all(mass >= 0 for mass in masses)
+        negatives = tuple(i for i in range(min(horizon, cutoff) + 1) if nums[i] < 0)
+        all_nonnegative = all(x >= 0 for x in nums)
         if not all_nonnegative and not negatives:
-            negatives = (next(i for i, mass in enumerate(masses) if mass < 0),)
+            negatives = (next(i for i, x in enumerate(nums) if x < 0),)
         return SupportAnalysis(True, cutoff, all_nonnegative, negatives)
     if d.classical:
         return SupportAnalysis(False, None, True, ())

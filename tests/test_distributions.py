@@ -25,7 +25,7 @@ from lahbell import (
     pgf_direct,
     poisson,
 )
-from lahbell.montecarlo import random_degenerate_binomial
+from lahbell.montecarlo import _cumulative_table, random_degenerate_binomial
 from oracles import degenerate_binomial_mass
 
 WITNESS = DegenerateBinomial(3, Fraction(1, 10), Fraction(2, 5))
@@ -76,9 +76,17 @@ class TestDegenerateBinomialPmf:
 class TestMassTables:
     def test_binomial_table_matches_per_index_products(self):
         rng = random.Random(11)
+        edges = [
+            DegenerateBinomial(0, Fraction(1, 3), Fraction(1, 4)),
+            DegenerateBinomial(5, Fraction(0), Fraction(1, 7)),
+            DegenerateBinomial(5, Fraction(1), Fraction(1, 7)),
+            DegenerateBinomial(3, Fraction(2, 5), Fraction(2, 3)),
+        ]
+        assert edges[-1].normalizer < 0
+        _, den = edges[-1]._mass_table
+        assert den > 0, "a negative normalizer must still give a positive table denominator"
         signed = truncated = 0
-        for _ in range(60):
-            d = random_degenerate_binomial(rng)
+        for d in edges + [random_degenerate_binomial(rng) for _ in range(300)]:
             expected = [degenerate_binomial_mass(d.n, d.p, d.lam, i) for i in range(d.n + 1)]
             assert d.masses() == expected
             assert [d.pmf(i) for i in range(d.n + 2)] == expected + [0]
@@ -88,6 +96,48 @@ class TestMassTables:
             signed += any(mass < 0 for mass in expected)
             truncated += cutoff < d.n
         assert signed and truncated, "draws must cover signed and zero-tail regimes"
+
+    def test_large_support_tables_finish_in_bounded_time(self):
+        d = DegenerateBinomial(1500, Fraction(5, 13), Fraction(3, 11))
+        start = time.perf_counter()
+        raw2 = moment_direct(d, MomentKind.RAW, 2)
+        pgf_direct(d, Fraction(1, 3))
+        analysis = analyze_support(d)
+        assert time.perf_counter() - start < 1.5
+        assert raw2 == d.raw_moment(2)
+        assert analysis.finite and not analysis.all_nonnegative
+        d = DegeneratePoisson(Fraction(7, 3), Fraction(1, 1500))
+        start = time.perf_counter()
+        raw2 = moment_direct(d, MomentKind.RAW, 2)
+        assert time.perf_counter() - start < 1.5
+        assert raw2 == d.raw_moment(2)
+
+    def test_exact_outputs_digest(self):
+        # sha256 over masses, pmf, cutoffs, sign pattern, direct moments, both
+        # pgfs, mgf floats and CDF floats of 400 random binomials and 156
+        # finite dpoisson instances; any changed rational or float changes it
+        rng = random.Random(2020)
+        instances = [random_degenerate_binomial(rng) for _ in range(400)]
+        signed = sum(any(mass < 0 for mass in d.masses()) for d in instances)
+        negative_normalizer = sum(d.normalizer < 0 for d in instances)
+        assert signed and negative_normalizer, "draws must cover signed and negative-normalizer regimes"
+        for alpha in (Fraction(1, 3), Fraction(1), Fraction(5, 2), Fraction(37, 3)):
+            instances += [DegeneratePoisson(alpha, Fraction(1, m)) for m in range(2, 41)]
+        parts = []
+        for d in instances:
+            masses = d.masses()
+            parts += [repr(d), repr(masses), repr([d.pmf(i) for i in range(len(masses) + 1)])]
+            analysis = analyze_support(d)
+            parts += [repr(d.support_cutoff), repr(analysis)]
+            parts += [repr(moment_direct(d, kind, order)) for kind in MomentKind for order in range(6)]
+            for t in (Fraction(0), Fraction(-3, 4), Fraction(1, 3), Fraction(9, 10)):
+                parts += [repr(d.pgf(t)), repr(pgf_direct(d, t))]
+            if isinstance(d, DegenerateBinomial):
+                parts += [repr(d.mgf(0.7)), repr(d.mgf(Fraction(-1, 5)))]
+            if analysis.all_nonnegative:
+                parts.append(repr(_cumulative_table(d).tolist()))
+        digest = hashlib.sha256("\n".join(parts).encode()).hexdigest()
+        assert digest == "146d674c608a30a1a12f91b4dc0ced488993edbff45a61d8a45e700e28dfaa3f"
 
     @pytest.mark.parametrize(
         "make",
@@ -236,9 +286,12 @@ class TestDegeneratePoissonPmf:
             for m in (2, 5, 17, 40):
                 d = DegeneratePoisson(alpha, Fraction(1, m))
                 masses = d.masses()
+                p = alpha / (m + alpha)
+                assert masses == DegenerateBinomial(m, p).masses()
+                assert masses == [degenerate_binomial_mass(m, p, 0, i) for i in range(m + 1)]
                 for i in range(m + 1):
                     assert d.pmf(i) == masses[i]
-                    assert d.pmf(i) == degenerate_binomial_mass(m, alpha / (m + alpha), 0, i)
+                    assert d.pmf(i) == degenerate_binomial_mass(m, p, 0, i)
                 assert d.pmf(m + 1) == 0
 
     def test_single_finite_pmf_skips_the_mass_table(self):
