@@ -2,9 +2,10 @@
 """Degenerate binomial and degenerate Poisson random variables, exactly.
 
 Shows exact PMFs, closed-form moments against brute-force support sums,
-finite supports when 1/lam is an integer, generating functions, and a
+finite supports when 1/lam is an integer, generating functions, a
 signed-mass parameter regime where the mass formula goes negative yet every
-algebraic identity still holds.
+algebraic identity still holds, and, on infinite supports, the rising moments
+read off the pgf's power series exactly.
 """
 
 from fractions import Fraction
@@ -14,8 +15,10 @@ from lahbell import (
     DegeneratePoisson,
     MomentKind,
     analyze_support,
+    bell_from_lahbell_degenerate,
     degenerate_lah_bell_polynomial,
     evaluate_degenerate,
+    lah_bell_series_coefficients,
     moment_direct,
     pgf_direct,
     poisson,
@@ -52,6 +55,12 @@ print("\nClassical Poisson alpha=2 (lam=0 member of the family)")
 print("  raw moment 3 via Bell polynomial:", p.raw_moment(3))
 print("  falling factorial moment 3:", p.falling_factorial_moment(3))
 print("  rising factorial moment 3:", p.rising_factorial_moment(3))
-print("  truncated-series cross-checks:")
-for kind in MomentKind:
-    print(f"    {kind.value}: {moment_direct(p, kind, 3)!r}")
+series = lah_bell_series_coefficients(p.alpha, 3)
+print("  exact series oracle, n! [t^n] of the pgf exp(alpha*(1/(1-t) - 1)):")
+print("    rising moments 0..3:", series)
+print("    raw moment 3 by the inverse Stirling transform:", bell_from_lahbell_degenerate(3, series))
+
+dq = DegeneratePoisson(Fraction(1), Fraction(2, 5))
+print("\nDegenerate Poisson alpha=1, lam=2/5 (infinite support, 1/lam not an integer)")
+print("  rising factorial moment 3 (closed):", dq.rising_factorial_moment(3))
+print("  same from the pgf series oracle:", lah_bell_series_coefficients(dq.alpha, 3, dq.lam)[3])

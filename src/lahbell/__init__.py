@@ -3,7 +3,6 @@ binomial and Poisson random variables, with exact and Monte Carlo identity
 verification."""
 
 from .errors import (
-    ConvergenceError,
     DomainError,
     EvaluationError,
     LahBellError,

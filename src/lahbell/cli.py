@@ -16,7 +16,6 @@ from typing import Optional, Sequence
 
 from .distributions import DegenerateBinomial, DegeneratePoisson, MomentKind, moment
 from .errors import (
-    ConvergenceError,
     DomainError,
     EvaluationError,
     SignedMassError,
@@ -276,7 +275,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except SignedMassError as exc:
         return _fail(str(exc), 5)
-    except (EvaluationError, DomainError, ConvergenceError, TailError) as exc:
+    except (EvaluationError, DomainError, TailError) as exc:
         return _fail(str(exc), 4)
     except ValueError as exc:
         return _fail(str(exc), 2)

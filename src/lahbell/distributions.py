@@ -3,9 +3,13 @@
 Both families take exact rational parameters and reduce to the classical
 binomial / Poisson distributions at lam = 0. Everything over a finite support
 is computed in exact rational arithmetic; floats appear only for irrational
-normalizers (exp, non-integer powers) and truncated infinite sums. Each
-family supplies its falling factorial moments in closed form, exact for every
-admissible parameter; `moment` turns them into raw or rising moments.
+normalizers (exp, non-integer powers): the infinite-support Poisson `pmf`,
+`pgf` and mass stream, and the binomial `mgf`. Each family supplies its
+falling factorial moments in closed form, exact for every admissible
+parameter; `moment` turns them into raw or rising moments. `moment_direct`
+and `pgf_direct` are brute force over a finite support only; over an
+infinite one the exact cross-check is the series oracle
+`polynomials.lah_bell_series_coefficients`.
 
 For some parameter choices the mass formulas go negative. The algebraic
 identities (normalization, moments, generating functions) hold for the signed
@@ -20,9 +24,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterator, Optional, Union
+from typing import Iterator, Optional, Union
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 from .exact_core import (
     LAH_TRIANGLE,
     STIRLING2_TRIANGLE,
@@ -34,13 +38,6 @@ from .exact_core import (
     degenerate_falling_factorials,
     format_rational,
 )
-
-# Truncation policy for infinite-support sums: stop once the current term has
-# been below tol * (accumulated absolute sum) for several consecutive terms.
-# A plain next-term bound is unsafe near the convergence radius.
-TRUNCATION_TOL = 1e-14
-TERM_BUDGET = 100_000
-_CONSECUTIVE_SMALL = 5
 
 
 class MomentKind(str, Enum):
@@ -360,70 +357,35 @@ def _exact_kind_value(kind: MomentKind, order: int, i: int) -> int:
     return math.perm(i + order - 1, order) if i else int(order == 0)
 
 
-def moment_direct(d: Distribution, kind: MomentKind, order: int) -> Union[Fraction, float]:
-    """Expectation of the chosen power kind straight from the masses.
+def moment_direct(d: Distribution, kind: MomentKind, order: int) -> Fraction:
+    """Expectation of the chosen power kind straight from a finite support's masses.
 
-    Exact over a finite support. Over an infinite support the sum is a float,
-    truncated by the consecutive-small-terms rule; raises ConvergenceError if
-    the term budget runs out first. This is the brute-force side of every
+    One integer dot product with the mass table, reduced once; an infinite
+    support raises DomainError. This is the brute-force side of every
     closed-form moment identity, so it deliberately avoids the closed forms.
     """
     if order < 0:
         raise ValueError("moment order must be nonnegative")
     kind = MomentKind(kind)
-    weight = lambda i: _exact_kind_value(kind, order, i)
-    if d.finite_support:
-        return _finite_expectation(d, weight)
-    return _truncated_sum(d, weight)
+    nums, den = d._mass_table
+    return Fraction(sum(_exact_kind_value(kind, order, i) * x for i, x in enumerate(nums)), den)
 
 
-def pgf_direct(d: Distribution, t: RationalLike) -> Union[Fraction, float]:
-    """Expectation of (1/(1-t))**X summed directly over the masses.
+def pgf_direct(d: Distribution, t: RationalLike) -> Fraction:
+    """Expectation of (1/(1-t))**X summed directly over a finite support's masses.
 
-    Cross-check companion to the closed-form `pgf` methods.
+    Cross-check companion to the closed-form `pgf` methods; an infinite
+    support raises DomainError.
     """
     u = _pgf_argument(t)
-    if d.finite_support:
-        # integer Horner at u = r/q: sum_i nums_i r**i q**(n-i) / (den q**n)
-        nums, den = d._mass_table
-        r, q = u.numerator, u.denominator
-        acc, q_power = 0, 1
-        for x in reversed(nums):
-            acc = acc * r + x * q_power
-            q_power *= q
-        return Fraction(acc, den * q ** (len(nums) - 1))
-    u_float = float(u)
-    return _truncated_sum(d, lambda i: u_float**i)
-
-
-def _finite_expectation(d: Distribution, weight: Callable[[int], int]) -> Fraction:
-    """Sum of weight(i) * mass_i over a finite support's mass table, for
-    integer weights: one integer dot product, reduced once."""
+    # integer Horner at u = r/q: sum_i nums_i r**i q**(n-i) / (den q**n)
     nums, den = d._mass_table
-    return Fraction(sum(weight(i) * x for i, x in enumerate(nums)), den)
-
-
-def _truncated_sum(d: DegeneratePoisson, weight: Callable[[int], float]) -> float:
-    total = 0.0
-    total_abs = 0.0
-    small_run = 0
-    stream = d._float_mass_stream()
-    for i in range(TERM_BUDGET):
-        try:
-            term = weight(i) * next(stream)
-        except OverflowError as exc:
-            raise ConvergenceError("sum diverged; outside the series' domain") from exc
-        total += term
-        total_abs += abs(term)
-        if not math.isfinite(total):
-            raise ConvergenceError("sum diverged; outside the series' domain")
-        if total_abs > 0 and abs(term) < TRUNCATION_TOL * total_abs:
-            small_run += 1
-            if small_run >= _CONSECUTIVE_SMALL:
-                return total
-        else:
-            small_run = 0
-    raise ConvergenceError(f"no convergence within {TERM_BUDGET} terms at tol {TRUNCATION_TOL}")
+    r, q = u.numerator, u.denominator
+    acc, q_power = 0, 1
+    for x in reversed(nums):
+        acc = acc * r + x * q_power
+        q_power *= q
+    return Fraction(acc, den * q ** (len(nums) - 1))
 
 
 def _first_negative_index(d: DegeneratePoisson) -> int:

@@ -17,10 +17,6 @@ class LengthError(LahBellError, ValueError):
     """A value list is shorter than the transform order requires."""
 
 
-class ConvergenceError(LahBellError, RuntimeError):
-    """A truncated infinite sum failed to meet tolerance within its term budget."""
-
-
 class SignedMassError(LahBellError, ValueError):
     """Sampling was requested from a measure with at least one negative mass."""
 

@@ -12,6 +12,7 @@ a z-test of a sample estimate against a closed-form target.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
@@ -98,9 +99,11 @@ def _cumulative_table(d: Distribution) -> np.ndarray:
     """Float cumulative masses for inverse-CDF sampling.
 
     Finite supports: the exact masses must sum to 1 before any float is
-    produced. Infinite supports (classical Poisson) are truncated once
-    coverage reaches 1 - TAIL_COVERAGE_GAP and the last bucket is renormalized
-    to absorb the tail.
+    produced; each entry is an integer prefix sum of the mass table's
+    numerators over its denominator, rounded once. Infinite supports
+    (classical Poisson) are truncated once coverage reaches
+    1 - TAIL_COVERAGE_GAP and the last bucket is renormalized to absorb the
+    tail.
     """
     analysis = analyze_support(d)
     if not analysis.all_nonnegative:
@@ -109,14 +112,10 @@ def _cumulative_table(d: Distribution) -> np.ndarray:
             f"mass at index {first} is negative; sampling a signed measure is refused"
         )
     if analysis.finite:
-        masses = d.masses()
-        if sum(masses) != 1:
+        nums, den = d._mass_table
+        if sum(nums) != den:
             raise ArithmeticError("finite mass table does not sum to 1 exactly")
-        cumulative = []
-        acc = Fraction(0)
-        for mass in masses:
-            acc += mass
-            cumulative.append(float(acc))
+        cumulative = [acc / den for acc in itertools.accumulate(nums)]
         cumulative[-1] = 1.0
         table = np.array(cumulative)
         table.setflags(write=False)
@@ -207,7 +206,8 @@ def estimate_moment_partitioned(
 
     Per-worker results are merged by Chan's parallel mean/M2 combination in
     ascending worker order, so the merged estimate depends only on the master
-    seed and the worker count, never on scheduling.
+    seed and the worker count, never on scheduling. Workers past the sample
+    count would draw nothing, so the loop stops at min(workers, samples).
     """
     kind = MomentKind(kind)
     if workers < 1:
@@ -218,10 +218,8 @@ def estimate_moment_partitioned(
     merged_n = 0
     merged_mean = 0.0
     merged_m2 = 0.0
-    for worker in range(workers):
+    for worker in range(min(workers, samples)):
         chunk = base + (1 if worker < remainder else 0)
-        if chunk == 0:
-            continue
         values = _moment_values(
             draw_samples(d, chunk, SamplerStream(master_seed, worker)), kind, order
         )

@@ -191,27 +191,30 @@ def bell_from_lahbell_degenerate(n: int, lahbell_values: Sequence[RationalLike])
     )
 
 
-def lah_bell_series_coefficients(x: RationalLike, order: int) -> list[Fraction]:
-    """Lah-Bell values [B_0(x), ..., B_order(x)] from the generating function.
+def lah_bell_series_coefficients(x: RationalLike, order: int, lam: RationalLike = 0) -> list[Fraction]:
+    """Degenerate Lah-Bell values at x, orders 0..order, from the generating function.
 
-    Computes exp(x*(1/(1-t) - 1)) by exact formal power-series composition and
-    rescales the t**n coefficient by n!. This path never touches the Lah
-    triangle, so it serves as an independent oracle for the triangle-based
-    construction.
+    Returns n! [t**n] F for F = (1 + lam*h)**(1/lam), h = y*(t + t**2 + ...)
+    and y = x/(1 + lam*x); F = exp(x*(1/(1-t) - 1)) at lam = 0, the plain
+    Lah-Bell values. F is the degenerate Poisson pgf E[(1-t)**-X] at
+    alpha = x, so the values are its rising factorial moments for every lam,
+    infinite support included. F' (1 + lam*h) = h' F gives
+    c_n = y sum_{k=1..n} (n-1)!/(n-k)! (k - lam*(n-k)) c_{n-k} for c_n = n! [t**n] F,
+    run in integers scaled by (q*e)**n at y = p/q, lam = c/e. No triangle is
+    read, so this is an independent oracle for the triangle-based constructions.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    x = as_rational(x)
-    # h = x*(t + t^2 + ...); F = exp(h) satisfies F[n] = (1/n) sum_{k=1..n} k h[k] F[n-k]
-    series = [Fraction(1)] + [Fraction(0)] * order
+    lam = as_rational(lam)
+    y = y_substitution(x, lam)
+    p, q = y.numerator, y.denominator
+    c, e = lam.numerator, lam.denominator
+    scale = q * e
+    scaled = [1]
     for n in range(1, order + 1):
-        acc = Fraction(0)
+        acc, weight = 0, p  # weight = p (n-1)!/(n-k)! scale**(k-1)
         for k in range(1, n + 1):
-            acc += k * x * series[n - k]
-        series[n] = acc / n
-    out = []
-    factorial = 1
-    for n in range(order + 1):
-        out.append(series[n] * factorial)
-        factorial *= n + 1
-    return out
+            acc += weight * (k * e - c * (n - k)) * scaled[n - k]
+            weight *= (n - k) * scale
+        scaled.append(acc)
+    return [Fraction(v, scale**n) for n, v in enumerate(scaled)]

@@ -13,7 +13,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 STDOUT_SHA256 = {
     "01_number_triangles": "95a630b6e7521f5128f24dbece61af4f2350ae58b7cb26250927bc589d23476f",
     "02_lah_bell_polynomials": "b67dfffa9e01b4863dbfaf2fcb865aaaf6523ec2296db0dcfb2be33d41b1d4d7",
-    "03_degenerate_random_variables": "931fab6a7a7f9dbd9f3c14651459af5a32eb52b6f44e97e35010c04ff75e38ba",
+    "03_degenerate_random_variables": "fd5ecb5106808282fc6626245db2ddb53218d154f70e17bfc1807af5431480e5",
     "04_monte_carlo_verification": "6a14a6c95b25b5a212921f878c9b686938b7a0a49101d7b188a4b06afb59fb37",
 }
 

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -81,6 +82,17 @@ class TestCumulativeTables:
             natural += next(stream)
         assert natural >= 1.0 - 1e-12
         assert table[-2] < 1.0 - 1e-12
+
+    def test_large_finite_table_finishes_in_bounded_time(self):
+        d = DegenerateBinomial(1500, Fraction(1, 3), Fraction(1, 7919))
+        start = time.perf_counter()
+        table = _cumulative_table.__wrapped__(d)  # bypass the cache: time the build
+        # about 0.09 s on a 2-vCPU machine; summing 1501 Fraction masses took 0.9 s
+        assert time.perf_counter() - start < 0.6
+        nums, den = d._mass_table
+        assert len(table) == 1501 and table[-1] == 1.0
+        for i in (0, 499, 500, 1000, 1499):
+            assert table[i] == float(Fraction(sum(nums[: i + 1]), den))
 
 
 class TestSampling:
@@ -167,6 +179,14 @@ class TestPartitionedEstimation:
         for workers in (2, 3, 5):
             est = estimate_moment_partitioned(poisson(2), "raw", 1, 60_000, 21, workers)
             assert abs(est.estimate - 2) <= 5 * est.standard_error
+
+    def test_huge_worker_count_finishes_in_bounded_time(self):
+        # workers past the sample count draw nothing and are never visited
+        start = time.perf_counter()
+        huge = estimate_moment_partitioned(DP_HALF, "raw", 2, 500, 3, 10**12)
+        assert time.perf_counter() - start < 2.0
+        assert huge == estimate_moment_partitioned(DP_HALF, "raw", 2, 500, 3, 500)
+        assert huge.sample_count == 500
 
 
 class TestVerifyIdentity:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lahbell import (
+    DegeneratePoisson,
     EvaluationError,
     LengthError,
     RationalPolynomial,
@@ -18,6 +19,7 @@ from lahbell import (
     lah_bell_polynomial,
     lah_bell_series_coefficients,
     lahbell_from_bell,
+    moment,
     monomial,
     stirling1_signed,
     y_substitution,
@@ -224,3 +226,29 @@ class TestSeriesOracle:
             series = lah_bell_series_coefficients(x, 20)
             for n in range(21):
                 assert series[n] == lah_bell_polynomial(n).evaluate(x)
+
+    def test_degenerate_matches_triangle_path(self):
+        pairs = (
+            (Fraction(2, 5), Fraction(1)),
+            (Fraction(1, 3), Fraction(2)),
+            (Fraction(0), Fraction(3, 2)),
+            (Fraction(1, 7), Fraction(-1, 3)),
+            (Fraction(3, 5), Fraction(1, 2)),
+        )
+        for lam, x in pairs:
+            series = lah_bell_series_coefficients(x, 30, lam)
+            for n in range(31):
+                assert series[n] == evaluate_degenerate(degenerate_lah_bell_polynomial(n, lam), x, lam)
+
+    def test_degenerate_equals_infinite_support_rising_moments(self):
+        # the pgf theorem: n! [t**n] E[(1-t)**-X] = E[<X>_n], infinite support included
+        pairs = ((Fraction(1), Fraction(2, 5)), (Fraction(2), Fraction(2, 9)), (Fraction(1), Fraction(3, 5)))
+        for alpha, lam in pairs:
+            d = DegeneratePoisson(alpha, lam)
+            assert not d.finite_support
+            series = lah_bell_series_coefficients(alpha, 12, lam)
+            assert series == [moment(d, "rising", n) for n in range(13)]
+
+    def test_degenerate_substitution_pole(self):
+        with pytest.raises(EvaluationError):
+            lah_bell_series_coefficients(-2, 3, Fraction(1, 2))
