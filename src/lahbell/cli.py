@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 identity failure, 2 usage, 3 table cap exceeded,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -221,7 +222,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `lahbell` parser, built once per process. Parsing leaves it
+    unchanged, and argparse looks up sys.stdout / sys.stderr only when it
+    prints, so every `main` call may share it."""
     parser = argparse.ArgumentParser(
         prog="lahbell",
         description="Exact Lah-Bell / degenerate Lah-Bell machinery with identity verification.",

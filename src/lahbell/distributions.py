@@ -34,6 +34,7 @@ from .exact_core import (
     as_rational,
     degenerate_exp_eval,
     degenerate_exp_exact,
+    degenerate_factor_numerators,
     degenerate_falling_factorial,
     degenerate_falling_factorials,
     format_rational,
@@ -308,21 +309,18 @@ def _binomial_mass_numerators(n: int, p: Fraction, lam: Fraction) -> tuple[tuple
 
     With p = a/b and lam = c/e, mass_i = C(n,i) A_i B_{n-i} / (b**n N), where
     A_i = prod_{j<i} (a*e - j*b*c), B_k = prod_{j<k} ((b-a)*e - j*b*c) and
-    N = prod_{j<n} (e - j*c) = e**n times the normalizer. Signs are flipped
-    when N < 0, so the denominator is always positive.
+    N = prod_{j<n} (e - j*c) = e**n times the normalizer: the
+    `degenerate_factor_numerators` prefixes of p, 1 - p and 1. Signs are
+    flipped when N < 0, so the denominator is always positive.
     """
-    a, b = p.numerator, p.denominator
-    c, e = lam.numerator, lam.denominator
-    successes, failures, normalizer = [1], [1], 1
-    for j in range(n):
-        successes.append(successes[-1] * (a * e - j * b * c))
-        failures.append(failures[-1] * ((b - a) * e - j * b * c))
-        normalizer *= e - j * c
+    successes, _ = degenerate_factor_numerators(p, n, lam)
+    failures, _ = degenerate_factor_numerators(1 - p, n, lam)
+    normalizer = degenerate_factor_numerators(1, n, lam)[0][n]
     nums, choose = [], 1
     for i in range(n + 1):
         nums.append(choose * successes[i] * failures[n - i])
         choose = choose * (n - i) // (i + 1)
-    den = b**n * normalizer
+    den = p.denominator**n * normalizer
     if den < 0:
         return tuple(-x for x in nums), -den
     return tuple(nums), den

@@ -9,7 +9,9 @@ evaluation boundary.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import threading
 from enum import Enum
 from fractions import Fraction
@@ -56,9 +58,10 @@ def _check_order(n: int) -> None:
 def degenerate_falling_factorials(x: RationalLike, n: int, lam: RationalLike) -> list[Fraction]:
     """[(x)_{0,lam}, ..., (x)_{n,lam}], the prefix products of x(x-lam)(x-2*lam)...
 
-    The one loop in the package that multiplies degenerate factors: every
-    falling, rising, and degenerate factorial, and every mass table, reads
-    its entries from here.
+    The one Fraction loop in the package that multiplies degenerate factors:
+    every falling, rising, and degenerate factorial and every polynomial
+    coefficient reads its entries from here. Integer work (mass tables,
+    polynomial evaluation) reads `degenerate_factor_numerators` instead.
     """
     _check_order(n)
     x = as_rational(x)
@@ -69,6 +72,23 @@ def degenerate_falling_factorials(x: RationalLike, n: int, lam: RationalLike) ->
         out.append(out[-1] * factor)
         factor -= lam
     return out
+
+
+def degenerate_factor_numerators(x: RationalLike, n: int, lam: RationalLike) -> tuple[list[int], int]:
+    """Integer prefixes [P_0, ..., P_n] and base B with (x)_{l,lam} = P_l / B**l.
+
+    With x = a/b and lam = c/e, P_l = prod_{j<l} (a*e - j*b*c) and B = b*e.
+    Callers that sum or evaluate many such products put them over one power
+    of B and reduce once, instead of paying one reduced Fraction per entry.
+    """
+    _check_order(n)
+    x = as_rational(x)
+    lam = as_rational(lam)
+    a, b = x.numerator, x.denominator
+    c, e = lam.numerator, lam.denominator
+    start, step = a * e, b * c
+    factors = range(start, start - n * step, -step) if step else itertools.repeat(start, n)
+    return list(itertools.accumulate(factors, operator.mul, initial=1)), b * e
 
 
 def degenerate_falling_factorial(x: RationalLike, n: int, lam: RationalLike) -> Fraction:

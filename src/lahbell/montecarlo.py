@@ -468,9 +468,8 @@ def _check_dlahbell_constructions(params):
         direct = degenerate_lah_bell_polynomial(n, lam)
         assembled = degenerate_lah_bell_polynomial_via_bell(n, lam)
         if direct != assembled:
-            size = max(len(direct.coefficients), len(assembled.coefficients))
-            for k in range(size):
-                worst = max(worst, abs(direct.coefficient(k) - assembled.coefficient(k)))
+            pairs = itertools.zip_longest(direct.coefficients, assembled.coefficients, fillvalue=Fraction(0))
+            worst = max(worst, *(abs(a - b) for a, b in pairs))
     return worst, 0
 
 

@@ -5,13 +5,18 @@ Bell polynomials (second-kind Stirling coefficients) and Lah-Bell polynomials
 are polynomials in the substituted variable y = x/(1 + lam*x): representing
 them in y keeps every coefficient identity an exact rational comparison, and
 evaluating at a point x is a separate, explicit substitution step.
+
+Every family is an integer row (S2, Lah, or the Stirling product) times the
+degenerate falling factorials (1)_{l,lam}, which are 1 at lam = 0, and a
+`RationalPolynomial` stores exactly that: building one reads a triangle row
+and makes no Fraction.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Sequence
 
 from .errors import EvaluationError, LengthError
@@ -21,63 +26,131 @@ from .exact_core import (
     STIRLING2_TRIANGLE,
     RationalLike,
     as_rational,
+    degenerate_factor_numerators,
+    degenerate_falling_factorial,
     degenerate_falling_factorials,
 )
 
 
-@dataclass(frozen=True)
 class RationalPolynomial:
     """Dense univariate polynomial with exact rational coefficients.
 
     `variable` is "x" for the plain families and "y" for the degenerate ones,
-    where y stands for x/(1 + lam*x). Trailing zero coefficients are trimmed
-    so equal polynomials compare equal structurally.
+    where y stands for x/(1 + lam*x). Coefficient l is
+    row[l] * (1)_{l,lam} / denominator: `row` holds integers, `lam` is the
+    weight parameter and `denominator` is positive. The public constructor
+    takes the coefficients themselves and is the lam = 0 member, whose
+    weights are 1 and whose denominator is the lcm of the coefficient
+    denominators. The representation is canonical for a given lam: the row
+    stops at the last nonzero coefficient (weights vanish beyond l = e at
+    lam = 1/e), and row and denominator share no factor. So two polynomials
+    at the same lam are equal exactly when their rows and denominators are;
+    any other pair compares coefficients. Instances are immutable.
     """
 
-    coefficients: tuple[Fraction, ...]
-    variable: str = "x"
+    __slots__ = ("row", "lam", "denominator", "variable")
 
-    def __post_init__(self) -> None:
-        coeffs = tuple(as_rational(c) for c in self.coefficients)
-        while len(coeffs) > 1 and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        if not coeffs:
-            coeffs = (Fraction(0),)
-        object.__setattr__(self, "coefficients", coeffs)
-        if self.variable not in ("x", "y"):
+    row: tuple[int, ...]
+    lam: Fraction
+    denominator: int
+    variable: str
+
+    def __init__(self, coefficients: Sequence[RationalLike], variable: str = "x") -> None:
+        coeffs = [as_rational(c) for c in coefficients]
+        common = math.lcm(*(c.denominator for c in coeffs))
+        self._set(tuple(c.numerator * (common // c.denominator) for c in coeffs),
+                  Fraction(0), common, variable)
+
+    @classmethod
+    def from_row(cls, row: Sequence[int], lam: RationalLike, denominator: int = 1,
+                 variable: str = "y") -> "RationalPolynomial":
+        """sum_l row[l] (1)_{l,lam} / denominator * variable**l, without building a Fraction."""
+        poly = cls.__new__(cls)
+        poly._set(tuple(row), as_rational(lam), denominator, variable)
+        return poly
+
+    def _set(self, row: tuple[int, ...], lam: Fraction, denominator: int, variable: str) -> None:
+        if variable not in ("x", "y"):
             raise ValueError("variable must be 'x' or 'y'")
+        if denominator <= 0:
+            raise ValueError("denominator must be positive")
+        if lam.numerator == 1:
+            row = row[: lam.denominator + 1]  # (1)_{l,1/e} = 0 for l > e
+        size = len(row)
+        while size > 1 and row[size - 1] == 0:
+            size -= 1
+        row = row[:size] or (0,)
+        if denominator != 1:
+            divisor = math.gcd(*row, denominator)
+            if divisor != 1:
+                row = tuple(r // divisor for r in row)
+                denominator //= divisor
+        for name, value in zip(self.__slots__, (row, lam, denominator, variable)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RationalPolynomial is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return RationalPolynomial.from_row, (self.row, self.lam, self.denominator, self.variable)
 
     @property
     def degree(self) -> int:
-        return len(self.coefficients) - 1
+        return len(self.row) - 1
+
+    @property
+    def coefficients(self) -> tuple[Fraction, ...]:
+        """row[l] * (1)_{l,lam} / denominator, made on every call."""
+        weights = degenerate_falling_factorials(1, self.degree, self.lam)
+        return tuple(r * w / self.denominator for r, w in zip(self.row, weights))
 
     def coefficient(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coefficients):
-            return self.coefficients[k]
-        return Fraction(0)
+        if not 0 <= k < len(self.row):
+            return Fraction(0)
+        return self.row[k] * degenerate_falling_factorial(1, k, self.lam) / self.denominator
 
     def evaluate(self, value: RationalLike) -> Fraction:
-        """Integer Horner over the lcm D of the coefficient denominators: at
-        p/q the value is sum_i D*c_i p**i q**(degree-i) / (D*q**degree)."""
+        """Integer Horner, reduced once. With lam = c/e the weights are
+        A_l / e**l for the integer prefixes A_l = prod_{j<l} (e - j*c), so at
+        p/q the value is sum_l row_l A_l p**l (q*e)**(degree-l) over
+        denominator * (q*e)**degree."""
         value = as_rational(value)
-        p, q = value.numerator, value.denominator
-        common = math.lcm(*(c.denominator for c in self.coefficients))
-        acc, q_power = 0, 1
-        for c in reversed(self.coefficients):
-            acc = acc * p + c.numerator * (common // c.denominator) * q_power
-            q_power *= q
-        return Fraction(acc, common * q**self.degree)
+        return self._horner(value.numerator, value.denominator)
+
+    def _horner(self, p: int, q: int) -> Fraction:
+        """The value at p/q for any integers p and q != 0, not necessarily coprime."""
+        weights, base = degenerate_factor_numerators(1, self.degree, self.lam)
+        scale = q * base
+        acc, power = 0, 1
+        for r, w in zip(reversed(self.row), reversed(weights)):
+            acc = acc * p + r * w * power
+            power *= scale
+        return Fraction(acc, self.denominator * scale**self.degree)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RationalPolynomial):
+            return NotImplemented
+        if self.variable != other.variable:
+            return False
+        if self.lam == other.lam:
+            return self.denominator == other.denominator and self.row == other.row
+        return self.coefficients == other.coefficients
+
+    def __hash__(self) -> int:
+        return hash((self.coefficients, self.variable))
+
+    def __repr__(self) -> str:
+        return f"RationalPolynomial(coefficients={self.coefficients!r}, variable={self.variable!r})"
 
     def __add__(self, other: "RationalPolynomial") -> "RationalPolynomial":
         if not isinstance(other, RationalPolynomial):
             return NotImplemented
         if self.variable != other.variable:
             raise ValueError("cannot add polynomials in different variables")
-        size = max(len(self.coefficients), len(other.coefficients))
-        return RationalPolynomial(
-            tuple(self.coefficient(k) + other.coefficient(k) for k in range(size)),
-            self.variable,
-        )
+        pairs = zip_longest(self.coefficients, other.coefficients, fillvalue=0)
+        return RationalPolynomial(tuple(a + b for a, b in pairs), self.variable)
 
     def scaled(self, factor: RationalLike) -> "RationalPolynomial":
         factor = as_rational(factor)
@@ -93,7 +166,7 @@ def monomial(n: int, variable: str = "x") -> RationalPolynomial:
 
 def bell_polynomial(n: int) -> RationalPolynomial:
     """sum_k S2(n, k) x**k, whose value at 1 is the Bell number."""
-    return RationalPolynomial(tuple(Fraction(s) for s in STIRLING2_TRIANGLE.row(n)))
+    return RationalPolynomial.from_row(STIRLING2_TRIANGLE.row(n), 0, variable="x")
 
 
 def bell_number(n: int) -> int:
@@ -103,7 +176,7 @@ def bell_number(n: int) -> int:
 
 def lah_bell_polynomial(n: int) -> RationalPolynomial:
     """sum_k L(n, k) x**k, the ordered-list analogue of the Bell polynomial."""
-    return RationalPolynomial(tuple(Fraction(v) for v in LAH_TRIANGLE.row(n)))
+    return RationalPolynomial.from_row(LAH_TRIANGLE.row(n), 0, variable="x")
 
 
 def lah_bell_number(n: int) -> int:
@@ -111,27 +184,35 @@ def lah_bell_number(n: int) -> int:
     return sum(LAH_TRIANGLE.row(n))
 
 
-def y_substitution(x: RationalLike, lam: RationalLike) -> Fraction:
-    """The substituted variable y = x/(1 + lam*x)."""
+def _substitution_ratio(x: RationalLike, lam: RationalLike) -> tuple[int, int]:
+    """y = x/(1 + lam*x) as the unreduced integer ratio p*e / (q*e + c*p) at
+    x = p/q, lam = c/e."""
     x = as_rational(x)
     lam = as_rational(lam)
-    denom = 1 + lam * x
+    denom = x.denominator * lam.denominator + lam.numerator * x.numerator
     if denom == 0:
         raise EvaluationError("substitution undefined: 1 + lam*x = 0")
-    return x / denom
+    return x.numerator * lam.denominator, denom
+
+
+def y_substitution(x: RationalLike, lam: RationalLike) -> Fraction:
+    """The substituted variable y = x/(1 + lam*x)."""
+    return Fraction(*_substitution_ratio(x, lam))
 
 
 def evaluate_degenerate(poly: RationalPolynomial, x: RationalLike, lam: RationalLike) -> Fraction:
-    """Evaluate a y-variable polynomial at the point y = x/(1 + lam*x)."""
+    """Evaluate a y-variable polynomial at the point y = x/(1 + lam*x).
+
+    Horner takes the unreduced ratio for y, so only the value is reduced, once.
+    """
     if poly.variable != "y":
         raise ValueError("expected a polynomial in the substituted variable y")
-    return poly.evaluate(y_substitution(x, lam))
+    return poly._horner(*_substitution_ratio(x, lam))
 
 
 def degenerate_bell_polynomial(n: int, lam: RationalLike) -> RationalPolynomial:
     """Degenerate Bell polynomial in y: sum_k (1)(1-lam)...(1-(k-1)lam) S2(n, k) y**k."""
-    factors = degenerate_falling_factorials(1, n, lam)
-    return RationalPolynomial(tuple(f * s for f, s in zip(factors, STIRLING2_TRIANGLE.row(n))), "y")
+    return RationalPolynomial.from_row(STIRLING2_TRIANGLE.row(n), lam)
 
 
 def degenerate_lah_bell_polynomial(n: int, lam: RationalLike) -> RationalPolynomial:
@@ -140,8 +221,7 @@ def degenerate_lah_bell_polynomial(n: int, lam: RationalLike) -> RationalPolynom
     L(n, l) equals the double Stirling sum sum_k |S1(n, k)| S2(k, l), the form
     in which the coefficients first appear; the tests check the two agree.
     """
-    factors = degenerate_falling_factorials(1, n, lam)
-    return RationalPolynomial(tuple(v * f for v, f in zip(LAH_TRIANGLE.row(n), factors)), "y")
+    return RationalPolynomial.from_row(LAH_TRIANGLE.row(n), lam)
 
 
 def degenerate_lah_bell_polynomial_via_bell(n: int, lam: RationalLike) -> RationalPolynomial:
@@ -152,13 +232,22 @@ def degenerate_lah_bell_polynomial_via_bell(n: int, lam: RationalLike) -> Ration
     Lah number is read, so agreeing with the Lah-number construction
     coefficient by coefficient is a real check; the verifier makes it.
     """
-    factors = degenerate_falling_factorials(1, n, lam)
     products = [0] * (n + 1)
     for k, s1 in enumerate(STIRLING1_TRIANGLE.row(n)):
         weight = (-1) ** (n - k) * s1
         for l, s2 in enumerate(STIRLING2_TRIANGLE.row(k)):
             products[l] += weight * s2
-    return RationalPolynomial(tuple(p * f for p, f in zip(products, factors)), "y")
+    return RationalPolynomial.from_row(products, lam)
+
+
+def _integer_weighted_sum(weights, values: Sequence[RationalLike]) -> Fraction:
+    """sum_k w_k v_k as one integer sum over the lcm of the value denominators,
+    reduced once."""
+    values = [as_rational(v) for v in values]
+    common = math.lcm(*(v.denominator for v in values))
+    return Fraction(
+        sum(w * v.numerator * (common // v.denominator) for w, v in zip(weights, values)), common
+    )
 
 
 def lahbell_from_bell(n: int, bell_values: Sequence[RationalLike]) -> Fraction:
@@ -169,10 +258,8 @@ def lahbell_from_bell(n: int, bell_values: Sequence[RationalLike]) -> Fraction:
     """
     if len(bell_values) < n + 1:
         raise LengthError(f"need {n + 1} values, got {len(bell_values)}")
-    return sum(
-        ((-1) ** (n - k) * s1 * as_rational(v)
-         for k, (s1, v) in enumerate(zip(STIRLING1_TRIANGLE.row(n), bell_values))),
-        Fraction(0),
+    return _integer_weighted_sum(
+        ((-1) ** (n - k) * s1 for k, s1 in enumerate(STIRLING1_TRIANGLE.row(n))), bell_values[: n + 1]
     )
 
 
@@ -184,10 +271,8 @@ def bell_from_lahbell_degenerate(n: int, lahbell_values: Sequence[RationalLike])
     """
     if len(lahbell_values) < n + 1:
         raise LengthError(f"need {n + 1} values, got {len(lahbell_values)}")
-    return sum(
-        ((-1) ** (n - k) * s2 * as_rational(v)
-         for k, (s2, v) in enumerate(zip(STIRLING2_TRIANGLE.row(n), lahbell_values))),
-        Fraction(0),
+    return _integer_weighted_sum(
+        ((-1) ** (n - k) * s2 for k, s2 in enumerate(STIRLING2_TRIANGLE.row(n))), lahbell_values[: n + 1]
     )
 
 

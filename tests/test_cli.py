@@ -8,6 +8,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from lahbell import cli
 from lahbell.cli import main
 
 
@@ -143,6 +144,15 @@ class TestPoly:
         assert code == 0
         assert out.splitlines() == ["x,0,6,6,1", "value,44"]
 
+    def test_large_degenerate_order_is_bounded(self, capsys):
+        # about 1.0 s on a 2-vCPU VM with empty triangle caches: the 1001
+        # coefficients are Fraction products of up to 1000 degenerate factors
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "poly", "dlahbell", "--n", "1000", "--lambda", "2/7919")
+        assert time.perf_counter() - start < 5.0
+        assert code == 0
+        assert len(json.loads(out)["coefficients"]) == 1001
+
     def test_result_too_large_to_print_is_domain_error(self, capsys):
         # the value has over 6000 digits, beyond Python's int-to-str limit
         code, out, err = run_cli(capsys, "poly", "lahbell", "--n", "2", "--eval-at", "1" + "0" * 3000)
@@ -244,6 +254,39 @@ class TestSimulate:
         assert lines[1].startswith("binomial,raw")
 
 
+class TestParserReuse:
+    # one process, one cached parser: flags, defaults and usage errors of one
+    # call must not leak into the next
+    ARGVS = (
+        ("poly", "dlahbell", "--n", "3", "--lambda", "1/2", "--eval-at", "1"),
+        ("poly", "dbell", "--n", "2"),
+        ("table", "lah", "--n-max", "x"),
+        ("poly", "lahbell", "--n", "4", "--format", "csv"),
+        ("verify", "stirling", "--n-max", "4", "--format", "csv"),
+        ("verify", "nosuchsuite"),
+        ("simulate", "--dist", "binomial", "--n", "4", "--p", "1/2", "--samples", "200", "--seed", "3"),
+        ("poly", "dlahbell", "--n", "3", "--lambda", "1/3"),
+    )
+
+    @staticmethod
+    def _run(capsys, argv):
+        try:
+            return run_cli(capsys, *argv)
+        except SystemExit as exc:
+            captured = capsys.readouterr()
+            return ("exit", exc.code), captured.out, captured.err
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_calls_match_a_fresh_parser(self, capsys, monkeypatch):
+        shared = [self._run(capsys, argv) for argv in self.ARGVS]
+        assert ("exit", 2) in [code for code, _, _ in shared]
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        fresh = [self._run(capsys, argv) for argv in self.ARGVS]
+        assert shared == fresh
+
+
 class TestByteIdenticalOutput:
     def test_simulate_reruns_identical(self):
         argv = [
@@ -341,3 +384,24 @@ class TestPinnedExactOutput:
         )
         assert exit_code == code
         assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+    # sha256 over `lahbell poly` for the four families x n in {0, 1, 2, 7, 25,
+    # 60} x six lambdas (vanishing weights, negative and large lambda included)
+    # x --eval-at in {none, 2/9, -3, 0} x csv / json: each command's argv,
+    # exit code, stdout and stderr. The parser takes --lambda for the plain
+    # families too and ignores it. 1/3 at -3 is a pole (exit 4).
+    POLY_SHA256 = "0b77db62a17b6eb766e3e4887d025df9b97a557bc820b6189a5f7c9c294f531c"
+
+    def test_poly_output_digest(self, capsys):
+        digest = hashlib.sha256()
+        for family in ("bell", "lahbell", "dbell", "dlahbell"):
+            for n in (0, 1, 2, 7, 25, 60):
+                for lam in ("0", "1/3", "1", "-5/3", "2/7919", "7/2"):
+                    for point in (None, "2/9", "-3", "0"):
+                        for fmt in ("csv", "json"):
+                            argv = ["poly", family, "--n", str(n), f"--lambda={lam}", "--format", fmt]
+                            if point is not None:
+                                argv.append(f"--eval-at={point}")
+                            code, out, err = run_cli(capsys, *argv)
+                            digest.update(f"{' '.join(argv)}\n{code}\n{out}\x00{err}\x00".encode())
+        assert digest.hexdigest() == self.POLY_SHA256

@@ -14,6 +14,7 @@ from lahbell import (
     degenerate_exp_eval,
     degenerate_exp_exact,
     degenerate_exp_series,
+    degenerate_factor_numerators,
     degenerate_falling_factorial,
     degenerate_falling_factorials,
     falling_factorial,
@@ -74,6 +75,21 @@ class TestFactorials:
             for j in range(k):
                 expected *= x - j * lam
             assert value == expected
+
+
+    @given(rationals, st.integers(0, 12), rationals)
+    def test_integer_prefixes_over_one_base(self, x, n, lam):
+        prefixes, base = degenerate_factor_numerators(x, n, lam)
+        assert base == x.denominator * lam.denominator
+        assert all(isinstance(p, int) for p in prefixes)
+        assert [Fraction(p, base**l) for l, p in enumerate(prefixes)] == degenerate_falling_factorials(x, n, lam)
+
+    def test_integer_prefixes_examples(self):
+        # (1)_{l,1/2}: 1, 1, 1/2, 0 over 2**l
+        assert degenerate_factor_numerators(1, 3, Fraction(1, 2)) == ([1, 2, 2, 0], 2)
+        assert degenerate_factor_numerators(Fraction(2, 3), 2, -1) == ([1, 2, 10], 3)
+        with pytest.raises(ValueError):
+            degenerate_factor_numerators(1, -1, 0)
 
 
 class TestBinomial:

@@ -23,7 +23,9 @@ from lahbell import (
     suite_instances,
     verify_identity,
 )
+from lahbell import montecarlo
 from lahbell.distributions import moment
+from lahbell.polynomials import RationalPolynomial, degenerate_lah_bell_polynomial_via_bell
 from lahbell.montecarlo import _cumulative_table, z_score
 from oracles import degenerate_factor_product, falling_factorial_coefficients, stirling2_explicit
 
@@ -253,6 +255,23 @@ class TestVerifyIdentity:
                 )
                 assert report.status == "PASS"
                 assert report.rhs == format_rational(expected)
+
+    def test_dlahbell_constructions_reports_the_worst_coefficient_gap(self, monkeypatch):
+        # a broken via-Bell side at n = 3: coefficient 2 off by 1/5 and a
+        # spurious y**5 term of 7/3, so the worst gap is 7/3
+        def broken(n, lam):
+            poly = degenerate_lah_bell_polynomial_via_bell(n, lam)
+            if n != 3:
+                return poly
+            coeffs = list(poly.coefficients) + [Fraction(0), Fraction(7, 3)]
+            coeffs[2] += Fraction(1, 5)
+            return RationalPolynomial(coeffs, "y")
+
+        monkeypatch.setattr(montecarlo, "degenerate_lah_bell_polynomial_via_bell", broken)
+        report = verify_identity("dlahbell-constructions", {"lam": Fraction(2, 7), "n_max": 5})
+        assert report.status == "FAIL"
+        assert (report.lhs, report.rhs) == ("7/3", "0")
+        assert report.discrepancy == repr(float(Fraction(7, 3)))
 
     def test_skipped_for_infinite_support_exact_check(self):
         common = {"alpha": Fraction(1), "lam": Fraction(2, 5)}

@@ -1,5 +1,9 @@
 from fractions import Fraction
 
+import copy
+import functools
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -24,7 +28,13 @@ from lahbell import (
     stirling1_signed,
     y_substitution,
 )
-from oracles import count_list_partitions, count_set_partitions, degenerate_lah_bell_coefficients
+from oracles import (
+    count_list_partitions,
+    count_set_partitions,
+    degenerate_factor_product,
+    degenerate_lah_bell_coefficients,
+    stirling2_explicit,
+)
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=10)
 
@@ -64,6 +74,109 @@ class TestRationalPolynomial:
     def test_add_requires_same_variable(self):
         with pytest.raises(ValueError):
             monomial(1, "x") + monomial(1, "y")
+
+
+WEIGHT_LAMBDAS = (Fraction(0), Fraction(1, 3), Fraction(1), Fraction(-5, 3), Fraction(2, 7919), Fraction(7, 2))
+
+
+@functools.cache
+def _oracle_coefficients(family: str, n: int, lam: Fraction) -> tuple[Fraction, ...]:
+    """Expected coefficients, trailing zeros trimmed, from tests/oracles.py only."""
+    if family == "lah":
+        coeffs = degenerate_lah_bell_coefficients(n, lam)
+    else:
+        coeffs = [stirling2_explicit(n, l) * degenerate_factor_product(1, l, lam) for l in range(n + 1)]
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(Fraction(c) for c in coeffs)
+
+
+# builder, oracle family, whether the builder takes lam (the plain ones are lam = 0)
+BUILDERS = {
+    "bell": (lambda n, lam: bell_polynomial(n), "bell", False),
+    "lahbell": (lambda n, lam: lah_bell_polynomial(n), "lah", False),
+    "dbell": (degenerate_bell_polynomial, "bell", True),
+    "dlahbell": (degenerate_lah_bell_polynomial, "lah", True),
+    "dlahbell-via-bell": (degenerate_lah_bell_polynomial_via_bell, "lah", True),
+}
+
+
+class TestRowRepresentation:
+    """Every builder stores an integer row over (1)_{l,lam} weights; the public
+    API must still read as the Fraction coefficients row[l] * (1)_{l,lam}."""
+
+    POINTS = (Fraction(0), Fraction(-3), Fraction(2, 9), Fraction(5, 7))
+
+    @pytest.mark.parametrize(
+        "name, lam",
+        [(name, lam) for name, (_, _, degenerate) in BUILDERS.items()
+         for lam in (WEIGHT_LAMBDAS if degenerate else (Fraction(0),))],
+    )
+    def test_builders_match_fraction_products(self, name, lam):
+        build, family, degenerate = BUILDERS[name]
+        for n in range(31):
+            poly = build(n, lam)
+            expected = _oracle_coefficients(family, n, lam)
+            assert poly.variable == ("y" if degenerate else "x")
+            assert poly.denominator == 1 and poly.lam == lam
+            assert poly.coefficients == expected
+            assert [poly.coefficient(k) for k in range(-1, n + 3)] == [0, *expected] + [0] * (n + 3 - len(expected))
+            for t in self.POINTS:
+                assert poly.evaluate(t) == sum((c * t**k for k, c in enumerate(expected)), Fraction(0))
+                if degenerate and 1 + lam * t != 0:
+                    y = t / (1 + lam * t)
+                    value = sum((c * y**k for k, c in enumerate(expected)), Fraction(0))
+                    assert evaluate_degenerate(poly, t, lam) == value
+
+    @pytest.mark.parametrize("name", BUILDERS)
+    def test_round_trip_through_coefficients(self, name):
+        build = BUILDERS[name][0]
+        for lam in WEIGHT_LAMBDAS:
+            for n in (0, 1, 2, 5, 13):
+                poly = build(n, lam)
+                plain = RationalPolynomial(poly.coefficients, poly.variable)
+                assert plain.lam == 0
+                assert poly == plain and plain == poly
+                assert hash(poly) == hash(plain)
+
+    def test_vanishing_weights_cut_the_row(self):
+        # (1)_{l,1/3} = 0 for l > 3, so the stored row stops at index 3
+        poly = degenerate_lah_bell_polynomial(9, Fraction(1, 3))
+        assert poly.degree == 3 and len(poly.row) == 4
+        assert poly == degenerate_lah_bell_polynomial_via_bell(9, Fraction(1, 3))
+        assert degenerate_bell_polynomial(6, Fraction(1)).degree == 1
+
+    def test_different_weights_compare_coefficients(self):
+        assert degenerate_lah_bell_polynomial(4, Fraction(1, 3)) != degenerate_lah_bell_polynomial(4, Fraction(2, 7919))
+        assert degenerate_lah_bell_polynomial(1, Fraction(1, 3)) == degenerate_lah_bell_polynomial(1, Fraction(7, 2))
+        assert degenerate_lah_bell_polynomial(3, 0) != lah_bell_polynomial(3)  # y against x
+
+    def test_from_row_is_canonical(self):
+        poly = RationalPolynomial.from_row((2, 4, 0), 0, 6, "x")
+        assert poly.row == (1, 2) and poly.denominator == 3
+        assert poly == RationalPolynomial((Fraction(1, 3), Fraction(2, 3)))
+        assert RationalPolynomial((Fraction(1, 6), Fraction(0), Fraction(3, 4))).row == (2, 0, 9)
+        assert RationalPolynomial((Fraction(1, 2), 1)) != RationalPolynomial((1, 2))  # same row (1, 2)
+        with pytest.raises(ValueError):
+            RationalPolynomial.from_row((1,), 0, 0)
+
+    def test_immutable(self):
+        poly = lah_bell_polynomial(3)
+        with pytest.raises(AttributeError):
+            poly.row = (1,)
+        with pytest.raises(AttributeError):
+            poly.coefficients = (Fraction(1),)
+
+    def test_pickle_and_copy_round_trip(self):
+        for poly in (degenerate_lah_bell_polynomial(7, Fraction(-5, 3)), RationalPolynomial((Fraction(1, 6), 3))):
+            for clone in (pickle.loads(pickle.dumps(poly)), copy.deepcopy(poly), copy.copy(poly)):
+                assert (clone.row, clone.lam, clone.denominator, clone.variable) == (
+                    poly.row, poly.lam, poly.denominator, poly.variable)
+
+    def test_repr_shows_coefficients(self):
+        assert repr(degenerate_bell_polynomial(2, Fraction(1, 2))) == (
+            "RationalPolynomial(coefficients=(Fraction(0, 1), Fraction(1, 1), Fraction(1, 2)), variable='y')"
+        )
 
 
 class TestBellFamilies:
