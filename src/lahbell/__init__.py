@@ -23,6 +23,7 @@ from .exact_core import (
     degenerate_exp_exact,
     degenerate_exp_series,
     degenerate_factor_numerators,
+    degenerate_factors,
     degenerate_falling_factorial,
     degenerate_falling_factorials,
     falling_factorial,

@@ -4,12 +4,12 @@ Both families take exact rational parameters and reduce to the classical
 binomial / Poisson distributions at lam = 0. Everything over a finite support
 is computed in exact rational arithmetic; floats appear only for irrational
 normalizers (exp, non-integer powers): the infinite-support Poisson `pmf`,
-`pgf` and mass stream, and the binomial `mgf`. Each family supplies its
-falling factorial moments in closed form, exact for every admissible
-parameter; `moment` turns them into raw or rising moments. `moment_direct`
-and `pgf_direct` are brute force over a finite support only; over an
-infinite one the exact cross-check is the series oracle
-`polynomials.lah_bell_series_coefficients`.
+`pgf` and mass stream, and the binomial `mgf`. Each family supplies the
+ratios of consecutive falling factorial moments in closed form, exact for
+every admissible parameter; `moment` turns them into falling, raw or rising
+moments. `moment_direct` and `pgf_direct` are brute force over a finite
+support only; over an infinite one the exact cross-check is the series
+oracle `polynomials.lah_bell_series_coefficients`.
 
 For some parameter choices the mass formulas go negative. The algebraic
 identities (normalization, moments, generating functions) hold for the signed
@@ -35,8 +35,8 @@ from .exact_core import (
     degenerate_exp_eval,
     degenerate_exp_exact,
     degenerate_factor_numerators,
+    degenerate_factors,
     degenerate_falling_factorial,
-    degenerate_falling_factorials,
     format_rational,
 )
 
@@ -88,7 +88,7 @@ class DegenerateBinomial:
             raise DomainError(f"p must lie in [0, 1], got {format_rational(p)}")
         if not 0 <= lam < 1:
             raise DomainError(f"lam must lie in [0, 1), got {format_rational(lam)}")
-        if self.normalizer == 0:
+        if lam.numerator == 1 and lam.denominator < self.n:
             raise DomainError(
                 f"normalizer vanishes: lam = {format_rational(lam)} is 1/j for some j < n"
             )
@@ -124,25 +124,27 @@ class DegenerateBinomial:
         nums, den = self._mass_table
         return [Fraction(x, den) for x in nums]
 
-    def _falling_moments(self, m: int) -> list[Fraction]:
-        """[E[(X)_0], ..., E[(X)_m]]: (n)_k (p)_{k,lam} / (1)_{k,lam} for k <= n, 0 beyond.
+    def _falling_ratios(self, m: int) -> list[tuple[int, int]]:
+        """E[(X)_k] / E[(X)_{k-1}] = (n-k+1)(p-(k-1)lam)/(1-(k-1)lam) for k <= min(m, n) as
+        integer pairs; E[(X)_k] = 0 past n.
 
-        This is the degenerate Vandermonde sum (n)_k (p)_{k,lam} (1-k*lam)_{n-k,lam} / (1)_{n,lam}
-        with (1-k*lam)_{n-k,lam} = (1)_{n,lam} / (1)_{k,lam} cancelled; neither vanishes."""
+        E[(X)_k] = (n)_k (p)_{k,lam} / (1)_{k,lam} is the degenerate Vandermonde sum
+        (n)_k (p)_{k,lam} (1-k*lam)_{n-k,lam} / (1)_{n,lam} with (1-k*lam)_{n-k,lam} =
+        (1)_{n,lam} / (1)_{k,lam} cancelled; no factor 1-(k-1)lam vanishes for k <= n.
+        With p = a/b, (p - j*lam) / (1 - j*lam) = (a*e - j*b*c) / (b*(e - j*c))."""
         top = min(m, self.n)
-        trials = degenerate_falling_factorials(self.n, top, 1)
-        successes = degenerate_falling_factorials(self.p, top, self.lam)
-        units = degenerate_falling_factorials(1, top, self.lam)
-        return [t * s / u for t, s, u in zip(trials, successes, units)] + [Fraction(0)] * (m - top)
+        successes, _ = degenerate_factors(self.p, top, self.lam)
+        units, _ = degenerate_factors(1, top, self.lam)
+        b = self.p.denominator
+        return [((self.n - j) * s, b * u) for j, (s, u) in enumerate(zip(successes, units))]
 
     def mean(self) -> Fraction:
         """n*p: the degenerate factors of the first falling moment cancel."""
         return self.n * self.p
 
     def variance(self) -> Fraction:
-        """E[(X)_2] + E[X] - E[X]**2, valid for every n."""
-        _, first, second = self._falling_moments(2)
-        return second + first - first * first
+        """E[X**2] - E[X]**2, valid for every n."""
+        return moment(self, MomentKind.RAW, 2) - self.mean() ** 2
 
     def raw_moment(self, m: int) -> Fraction:
         return moment(self, MomentKind.RAW, m)
@@ -260,11 +262,13 @@ class DegeneratePoisson:
     def mean_variance(self) -> tuple[Fraction, Fraction]:
         return self.mean(), self.variance()
 
-    def _falling_moments(self, m: int) -> list[Fraction]:
-        """[E[(X)_0], ..., E[(X)_m]]: (1)_{k,lam} y**k with y = alpha/(1 + lam*alpha), exact
-        for every admissible lam (alpha**k at lam = 0, zero past a finite support's cutoff)."""
-        y = self.alpha / (1 + self.lam * self.alpha)
-        return [f * y**k for k, f in enumerate(degenerate_falling_factorials(1, m, self.lam))]
+    def _falling_ratios(self, m: int) -> list[tuple[int, int]]:
+        """E[(X)_k] / E[(X)_{k-1}] = (1-(k-1)lam) y for k <= m as integer pairs, y = `mean()`:
+        E[(X)_k] = (1)_{k,lam} y**k for every admissible lam (alpha**k at lam = 0;
+        past a finite support's cutoff a zero ratio ends the products)."""
+        units, base = degenerate_factors(1, m, self.lam)
+        y = self.mean()
+        return [(u * y.numerator, base * y.denominator) for u in units]
 
     def raw_moment(self, m: int) -> Fraction:
         """Degenerate Bell polynomial value at alpha; the Bell polynomial at lam = 0."""
@@ -309,13 +313,13 @@ def _binomial_mass_numerators(n: int, p: Fraction, lam: Fraction) -> tuple[tuple
 
     With p = a/b and lam = c/e, mass_i = C(n,i) A_i B_{n-i} / (b**n N), where
     A_i = prod_{j<i} (a*e - j*b*c), B_k = prod_{j<k} ((b-a)*e - j*b*c) and
-    N = prod_{j<n} (e - j*c) = e**n times the normalizer: the
-    `degenerate_factor_numerators` prefixes of p, 1 - p and 1. Signs are
+    N = prod_{j<n} (e - j*c) = e**n times the normalizer: prefixes of p and
+    1 - p, and the product of the `degenerate_factors` of 1. Signs are
     flipped when N < 0, so the denominator is always positive.
     """
     successes, _ = degenerate_factor_numerators(p, n, lam)
     failures, _ = degenerate_factor_numerators(1 - p, n, lam)
-    normalizer = degenerate_factor_numerators(1, n, lam)[0][n]
+    normalizer = math.prod(degenerate_factors(1, n, lam)[0])
     nums, choose = [], 1
     for i in range(n + 1):
         nums.append(choose * successes[i] * failures[n - i])
@@ -334,17 +338,22 @@ def _pgf_argument(t: RationalLike) -> Fraction:
 
 
 def moment(d: Distribution, kind: Union[MomentKind, str], order: int) -> Fraction:
-    """Exact E[X**order], E[(X)_order] or E[<X>_order] from the family's
-    falling factorial moments: x**m = sum_k S2(m, k) (x)_k and
-    <x>_m = sum_k L(m, k) (x)_k."""
+    """Exact E[X**order], E[(X)_order] or E[<X>_order] as sum_k row[k] E[(X)_k] over the
+    S2 row (x**m = sum_k S2(m, k) (x)_k), the unit row, or the Lah row (<x>_m =
+    sum_k L(m, k) (x)_k). With the family's ratios r_k = E[(X)_k] / E[(X)_{k-1}]
+    the sum is row[0] + r_1 (row[1] + r_2 (row[2] + ...)): integer Horner, reduced once."""
     if order < 0:
         raise ValueError("moment order must be nonnegative")
     kind = MomentKind(kind)
-    falling = d._falling_moments(order)
     if kind is MomentKind.FALLING:
-        return falling[order]
-    row = (STIRLING2_TRIANGLE if kind is MomentKind.RAW else LAH_TRIANGLE).row(order)
-    return sum((c * f for c, f in zip(row, falling)), Fraction(0))
+        row = (0,) * order + (1,)
+    else:
+        row = (STIRLING2_TRIANGLE if kind is MomentKind.RAW else LAH_TRIANGLE).row(order)
+    ratios = d._falling_ratios(order)
+    num, den = row[len(ratios)], 1
+    for c, (r_num, r_den) in zip(reversed(row[: len(ratios)]), reversed(ratios)):
+        num, den = c * r_den * den + r_num * num, r_den * den
+    return Fraction(num, den)
 
 
 def _exact_kind_value(kind: MomentKind, order: int, i: int) -> int:
@@ -416,8 +425,9 @@ def analyze_support(d: Distribution, horizon: int = 64) -> SupportAnalysis:
         return SupportAnalysis(True, cutoff, all_nonnegative, negatives)
     if d.classical:
         return SupportAnalysis(False, None, True, ())
-    factors = degenerate_falling_factorials(1, min(horizon, _first_negative_index(d)), d.lam)
-    negatives = tuple(i for i, factor in enumerate(factors) if factor < 0)
+    # the base is positive, so the integer prefixes carry the mass signs
+    prefixes, _ = degenerate_factor_numerators(1, min(horizon, _first_negative_index(d)), d.lam)
+    negatives = tuple(i for i, prefix in enumerate(prefixes) if prefix < 0)
     if not negatives:
         negatives = (_first_negative_index(d),)
     return SupportAnalysis(False, None, False, negatives)

@@ -1,10 +1,12 @@
 """Exact rational arithmetic, generalized factorials, and memoized number triangles.
 
-Everything in this module is integer or `fractions.Fraction` work. The Lah
-and Stirling triangles are built row by row from their recurrences and cached;
-the closed form for Lah numbers is kept around as an independent cross-check.
-Floating point appears only in `degenerate_exp_eval`, which is an explicit
-evaluation boundary.
+Everything in this module is integer or `fractions.Fraction` work. Every
+degenerate factor product accumulates one integer sequence,
+`degenerate_factors`: as integer prefixes, Fraction prefixes, or one product
+reduced once. The Lah and Stirling triangles are built row by row from their
+recurrences and cached; the closed form for Lah numbers is kept around as an
+independent cross-check. Floating point appears only in
+`degenerate_exp_eval`, which is an explicit evaluation boundary.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import operator
 import threading
 from enum import Enum
 from fractions import Fraction
-from typing import Union
+from typing import Sequence, Union
 
 from .errors import DomainError
 
@@ -55,31 +57,12 @@ def _check_order(n: int) -> None:
         raise ValueError("order must be a nonnegative integer")
 
 
-def degenerate_falling_factorials(x: RationalLike, n: int, lam: RationalLike) -> list[Fraction]:
-    """[(x)_{0,lam}, ..., (x)_{n,lam}], the prefix products of x(x-lam)(x-2*lam)...
+def degenerate_factors(x: RationalLike, n: int, lam: RationalLike) -> tuple[Sequence[int], int]:
+    """Integer factors F_j = a*e - j*b*c for j < n and base B = b*e, where x = a/b, lam = c/e.
 
-    The one Fraction loop in the package that multiplies degenerate factors:
-    every falling, rising, and degenerate factorial and every polynomial
-    coefficient reads its entries from here. Integer work (mass tables,
-    polynomial evaluation) reads `degenerate_factor_numerators` instead.
-    """
-    _check_order(n)
-    x = as_rational(x)
-    lam = as_rational(lam)
-    out = [Fraction(1)]
-    factor = x
-    for _ in range(n):
-        out.append(out[-1] * factor)
-        factor -= lam
-    return out
-
-
-def degenerate_factor_numerators(x: RationalLike, n: int, lam: RationalLike) -> tuple[list[int], int]:
-    """Integer prefixes [P_0, ..., P_n] and base B with (x)_{l,lam} = P_l / B**l.
-
-    With x = a/b and lam = c/e, P_l = prod_{j<l} (a*e - j*b*c) and B = b*e.
-    Callers that sum or evaluate many such products put them over one power
-    of B and reduce once, instead of paying one reduced Fraction per entry.
+    F_j / B = x - j*lam, so (x)_{l,lam} = prod_{j<l} F_j / B**l. This is the
+    one place degenerate factors are made; the sequence (a range, or a tuple
+    at lam = 0) can be iterated more than once.
     """
     _check_order(n)
     x = as_rational(x)
@@ -87,13 +70,36 @@ def degenerate_factor_numerators(x: RationalLike, n: int, lam: RationalLike) -> 
     a, b = x.numerator, x.denominator
     c, e = lam.numerator, lam.denominator
     start, step = a * e, b * c
-    factors = range(start, start - n * step, -step) if step else itertools.repeat(start, n)
-    return list(itertools.accumulate(factors, operator.mul, initial=1)), b * e
+    factors = range(start, start - n * step, -step) if step else (start,) * n
+    return factors, b * e
+
+
+def degenerate_falling_factorials(x: RationalLike, n: int, lam: RationalLike) -> list[Fraction]:
+    """[(x)_{0,lam}, ..., (x)_{n,lam}], the prefix products of x(x-lam)(x-2*lam)...
+
+    For callers that need every entry as a Fraction (polynomial
+    coefficients); integer work reads `degenerate_factor_numerators` instead.
+    """
+    factors, base = degenerate_factors(x, n, lam)
+    fractions = (Fraction(f, base) for f in factors)
+    return list(itertools.accumulate(fractions, operator.mul, initial=Fraction(1)))
+
+
+def degenerate_factor_numerators(x: RationalLike, n: int, lam: RationalLike) -> tuple[list[int], int]:
+    """Integer prefixes [P_0, ..., P_n] and base B with (x)_{l,lam} = P_l / B**l.
+
+    P_l is the product of the first l `degenerate_factors`. Callers that sum
+    or evaluate many such products put them over one power of B and reduce
+    once, instead of paying one reduced Fraction per entry.
+    """
+    factors, base = degenerate_factors(x, n, lam)
+    return list(itertools.accumulate(factors, operator.mul, initial=1)), base
 
 
 def degenerate_falling_factorial(x: RationalLike, n: int, lam: RationalLike) -> Fraction:
-    """x(x-lam)(x-2*lam)...(x-(n-1)*lam); reduces to x**n at lam = 0."""
-    return degenerate_falling_factorials(x, n, lam)[-1]
+    """x(x-lam)(x-2*lam)...(x-(n-1)*lam), one integer product reduced once; x**n at lam = 0."""
+    factors, base = degenerate_factors(x, n, lam)
+    return Fraction(math.prod(factors), base**n)
 
 
 def falling_factorial(x: RationalLike, n: int) -> Fraction:
@@ -239,13 +245,9 @@ def degenerate_exp_series(x: RationalLike, t: RationalLike, lam: RationalLike, o
     Independent of the closed form above; used to check the two against each
     other inside the series' radius of convergence.
     """
-    _check_order(order)
-    x = as_rational(x)
+    prefixes, base = degenerate_factor_numerators(x, order, lam)
     t = as_rational(t)
-    lam = as_rational(lam)
-    term = Fraction(1)
-    total = Fraction(1)
-    for k in range(order):
-        term = term * (x - k * lam) * t / (k + 1)
-        total += term
-    return total
+    # term k is P_k t**k / (B**k k!) at t = p/q; every term goes over (B*q)**order * order!
+    p, scale, top = t.numerator, base * t.denominator, math.factorial(order)
+    total = sum(w * p**k * scale ** (order - k) * (top // math.factorial(k)) for k, w in enumerate(prefixes))
+    return Fraction(total, scale**order * top)

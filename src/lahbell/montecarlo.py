@@ -16,7 +16,7 @@ import itertools
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Mapping, Optional, Union
@@ -60,6 +60,11 @@ TAIL_COVERAGE_GAP = 1e-12
 _TABLE_BUDGET = 100_000
 
 
+def _check_seed(master_seed: int) -> None:
+    if not 0 <= master_seed < 2**64:
+        raise ValueError("master_seed must fit in 64 unsigned bits")
+
+
 class SamplerStream:
     """Deterministic uniform stream.
 
@@ -69,8 +74,7 @@ class SamplerStream:
     """
 
     def __init__(self, master_seed: int, stream_index: int = 0):
-        if not 0 <= master_seed < 2**64:
-            raise ValueError("master_seed must fit in 64 unsigned bits")
+        _check_seed(master_seed)
         if stream_index < 0:
             raise ValueError("stream_index must be nonnegative")
         self.master_seed = master_seed
@@ -116,23 +120,22 @@ def _cumulative_table(d: Distribution) -> np.ndarray:
         if sum(nums) != den:
             raise ArithmeticError("finite mass table does not sum to 1 exactly")
         cumulative = [acc / den for acc in itertools.accumulate(nums)]
-        cumulative[-1] = 1.0
-        table = np.array(cumulative)
-        table.setflags(write=False)
-        return table
-    target = 1.0 - TAIL_COVERAGE_GAP
-    cumulative = []
-    acc = 0.0
-    stream = d._float_mass_stream()
-    for _ in range(_TABLE_BUDGET):
-        acc += next(stream)
-        cumulative.append(acc)
-        if acc >= target:
-            cumulative[-1] = 1.0
-            table = np.array(cumulative)
-            table.setflags(write=False)
-            return table
-    raise TailError(f"could not reach coverage {target} within {_TABLE_BUDGET} entries")
+    else:
+        target = 1.0 - TAIL_COVERAGE_GAP
+        cumulative = []
+        acc = 0.0
+        stream = d._float_mass_stream()
+        for _ in range(_TABLE_BUDGET):
+            acc += next(stream)
+            cumulative.append(acc)
+            if acc >= target:
+                break
+        else:
+            raise TailError(f"could not reach coverage {target} within {_TABLE_BUDGET} entries")
+    cumulative[-1] = 1.0
+    table = np.array(cumulative)
+    table.setflags(write=False)
+    return table
 
 
 def draw_samples(d: Distribution, count: int, stream: SamplerStream) -> np.ndarray:
@@ -258,20 +261,8 @@ class VerificationReport:
         return self.status == "PASS"
 
     def to_dict(self) -> dict:
-        out = {
-            "identity": self.identity,
-            "params": dict(self.params),
-            "mode": self.mode,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "discrepancy": self.discrepancy,
-            "status": self.status,
-        }
-        if self.seed is not None:
-            out["seed"] = self.seed
-        if self.samples is not None:
-            out["samples"] = self.samples
-        return out
+        """Fields in declaration order; `seed` and `samples` only when set."""
+        return {key: value for key, value in asdict(self).items() if value is not None}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), separators=(",", ":"))
@@ -379,12 +370,12 @@ def verify_identity(
     """
     if tag not in _REGISTRY:
         raise UnknownIdentityError(tag)
-    if stream is None:
-        stream = SamplerStream(0, 0)
     mode, check = _REGISTRY[tag]
     params = dict(params)
     if mode == "STATISTICAL":
         samples = int(samples)
+        if stream is None:
+            stream = SamplerStream(0, 0)
         estimate, standard_error, target = check(params, samples, stream)
         return _z_report(tag, params, estimate, standard_error, target, float(z_threshold), stream, samples)
     try:
@@ -508,12 +499,13 @@ def _finite_dpoisson_from_params(params) -> DegeneratePoisson:
 
 
 def _register_family_checks(family: str, from_params: Callable[[dict], Distribution]) -> None:
-    """{family}-{normalization,mean,variance}: the masses sum to 1, and the
-    closed-form mean and variance equal the direct sums over the masses."""
+    """{family}-{normalization,mean,variance}: the direct raw moment of order
+    0 (the mass sum) is 1, and the closed-form mean and variance equal the
+    direct sums over the masses."""
 
     @_identity(f"{family}-normalization")
     def normalization(params):
-        return sum(from_params(params).masses(), Fraction(0)), 1
+        return moment_direct(from_params(params), MomentKind.RAW, 0), 1
 
     @_identity(f"{family}-mean")
     def mean(params):
@@ -686,10 +678,11 @@ def run_suite(
     trials: int = 100_000,
     z_threshold: float = 5.0,
 ) -> list[VerificationReport]:
-    """Run every instance of a suite; statistical checks get substream index =
-    instance position, so whole-suite output is deterministic in the seed."""
+    """Run every instance of a suite. Only statistical checks get a stream, with
+    substream index = instance position, so output is deterministic in the seed."""
+    _check_seed(seed)
     reports = []
     for index, (tag, params) in enumerate(suite_instances(suite, n_max=n_max, seed=seed)):
-        stream = SamplerStream(seed, stream_index=index)
+        stream = SamplerStream(seed, index) if _REGISTRY[tag][0] == "STATISTICAL" else None
         reports.append(verify_identity(tag, params, samples=trials, z_threshold=z_threshold, stream=stream))
     return reports

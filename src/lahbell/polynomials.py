@@ -25,6 +25,7 @@ from .exact_core import (
     STIRLING1_TRIANGLE,
     STIRLING2_TRIANGLE,
     RationalLike,
+    TriangleCache,
     as_rational,
     degenerate_factor_numerators,
     degenerate_falling_factorial,
@@ -240,14 +241,17 @@ def degenerate_lah_bell_polynomial_via_bell(n: int, lam: RationalLike) -> Ration
     return RationalPolynomial.from_row(products, lam)
 
 
-def _integer_weighted_sum(weights, values: Sequence[RationalLike]) -> Fraction:
-    """sum_k w_k v_k as one integer sum over the lcm of the value denominators,
-    reduced once."""
-    values = [as_rational(v) for v in values]
+def _signed_row_sum(triangle: TriangleCache, n: int, values: Sequence[RationalLike]) -> Fraction:
+    """sum_k (-1)**(n-k) T(n,k) v[k] for row n of the triangle, as one integer
+    sum over the lcm of the value denominators, reduced once."""
+    if len(values) < n + 1:
+        raise LengthError(f"need {n + 1} values, got {len(values)}")
+    row = triangle.row(n)
+    values = [as_rational(v) for v in values[: n + 1]]
     common = math.lcm(*(v.denominator for v in values))
-    return Fraction(
-        sum(w * v.numerator * (common // v.denominator) for w, v in zip(weights, values)), common
-    )
+    terms = ((-1) ** (n - k) * t * v.numerator * (common // v.denominator)
+             for k, (t, v) in enumerate(zip(row, values)))
+    return Fraction(sum(terms), common)
 
 
 def lahbell_from_bell(n: int, bell_values: Sequence[RationalLike]) -> Fraction:
@@ -256,11 +260,7 @@ def lahbell_from_bell(n: int, bell_values: Sequence[RationalLike]) -> Fraction:
     Sends Bell-polynomial values to Lah-Bell values (and their degenerate
     counterparts likewise) at a common argument.
     """
-    if len(bell_values) < n + 1:
-        raise LengthError(f"need {n + 1} values, got {len(bell_values)}")
-    return _integer_weighted_sum(
-        ((-1) ** (n - k) * s1 for k, s1 in enumerate(STIRLING1_TRIANGLE.row(n))), bell_values[: n + 1]
-    )
+    return _signed_row_sum(STIRLING1_TRIANGLE, n, bell_values)
 
 
 def bell_from_lahbell_degenerate(n: int, lahbell_values: Sequence[RationalLike]) -> Fraction:
@@ -269,11 +269,7 @@ def bell_from_lahbell_degenerate(n: int, lahbell_values: Sequence[RationalLike])
     Recovers (degenerate) Bell values from (degenerate) Lah-Bell values; the
     round trip through both transforms is the identity.
     """
-    if len(lahbell_values) < n + 1:
-        raise LengthError(f"need {n + 1} values, got {len(lahbell_values)}")
-    return _integer_weighted_sum(
-        ((-1) ** (n - k) * s2 for k, s2 in enumerate(STIRLING2_TRIANGLE.row(n))), lahbell_values[: n + 1]
-    )
+    return _signed_row_sum(STIRLING2_TRIANGLE, n, lahbell_values)
 
 
 def lah_bell_series_coefficients(x: RationalLike, order: int, lam: RationalLike = 0) -> list[Fraction]:

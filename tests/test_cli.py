@@ -209,6 +209,20 @@ class TestVerify:
         assert err.startswith("error: --")
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("stirling", "--seed", "-1"), ("lahbell", "--seed", str(2**64))],
+        ids=["negative", "past-64-bits"],
+    )
+    def test_out_of_range_seed_is_usage_error(self, capsys, argv):
+        # exact-only suites draw no samples, yet a seed no stream can take
+        # still fails before anything is printed
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+
 class TestSimulate:
     def test_degenerate_poisson_mean(self, capsys, schema):
         code, out, _ = run_cli(

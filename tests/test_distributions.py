@@ -23,6 +23,7 @@ from lahbell import (
     lah_bell_polynomial,
     lah_bell_series_coefficients,
     lah_number,
+    moment,
     moment_direct,
     pgf_direct,
     poisson,
@@ -184,8 +185,15 @@ class TestDegenerateBinomialMoments:
     def test_closed_forms_match_brute_force(self):
         rng = random.Random(2)
         signed = 0
-        for _ in range(300):
-            d = random_degenerate_binomial(rng)
+        # n = 0, a lam near the classical limit, and a negative normalizer
+        # (1 - 2/3)(1 - 4/3) < 0, at orders past n
+        fixed = [
+            DegenerateBinomial(0, Fraction(1, 2), Fraction(1, 3)),
+            DegenerateBinomial(4, Fraction(3, 7), Fraction(1, 10**6)),
+            DegenerateBinomial(3, Fraction(2, 5), Fraction(2, 3)),
+        ]
+        assert fixed[2].normalizer < 0
+        for d in fixed + [random_degenerate_binomial(rng) for _ in range(300)]:
             mean_brute = moment_direct(d, MomentKind.RAW, 1)
             var_brute = moment_direct(d, MomentKind.RAW, 2) - mean_brute**2
             assert d.mean() == mean_brute
@@ -196,6 +204,18 @@ class TestDegenerateBinomialMoments:
                 assert d.rising_factorial_moment(order) == moment_direct(d, MomentKind.RISING, order)
             signed += any(mass < 0 for mass in d.masses())
         assert signed, "draws must cover a signed regime"
+
+    def test_large_n_closed_forms_finish_in_bounded_time(self):
+        # the closed forms read only min(order, n) factors, never the n-factor
+        # normalizer product or a mass table
+        n, p, lam = 20000, Fraction(1, 3), Fraction(2, 7919)
+        start = time.perf_counter()
+        d = DegenerateBinomial(n, p, lam)
+        variance = d.variance()
+        rising = moment(d, "rising", 12)
+        assert time.perf_counter() - start < 1.5
+        assert variance == n * (n - 1) * p * (p - lam) / (1 - lam) + n * p - (n * p) ** 2
+        assert isinstance(rising, Fraction) and rising > 0
 
     def test_small_n_variance_brute_path(self):
         assert DegenerateBinomial(0, Fraction(1, 2), Fraction(1, 3)).variance() == 0
@@ -227,6 +247,41 @@ class TestDegenerateBinomialMoments:
         assert var_errors[0] >= var_errors[1] >= var_errors[2]
         assert mean_errors[2] < 1e-4
         assert var_errors[2] < 1e-4
+
+
+class TestClosedFormDigest:
+    def test_closed_form_outputs_digest(self):
+        # sha256 over the closed-form moments of all three kinds, mean,
+        # variance, normalizer and support analysis of 600 random binomials
+        # (n <= 40) and 26 dpoisson instances (finite, infinite and classical
+        # supports); recorded before the moments moved to falling-moment ratios
+        rng = random.Random(1515)
+        instances = [random_degenerate_binomial(rng, max_n=40) for _ in range(600)]
+        for alpha in (Fraction(1, 3), Fraction(2), Fraction(7, 2), Fraction(5)):
+            for lam in (0, Fraction(1, 2), Fraction(1, 7), Fraction(2, 5), Fraction(3, 5),
+                        Fraction(1, 40), Fraction(2, 9), Fraction(1, 11)):
+                try:
+                    instances.append(DegeneratePoisson(alpha, Fraction(lam)))
+                except DomainError:
+                    continue
+        assert len(instances) == 626
+        parts = []
+        regimes = set()
+        for d in instances:
+            analysis = analyze_support(d)
+            regimes.add("finite" if analysis.finite else "infinite")
+            if not analysis.all_nonnegative:
+                regimes.add("signed")
+            parts += [repr(d), repr(analysis), repr(analyze_support(d, horizon=3))]
+            parts += [repr(moment(d, kind, order)) for kind in MomentKind for order in range(10)]
+            parts += [repr(d.mean()), repr(d.variance())]
+            if isinstance(d, DegenerateBinomial):
+                parts.append(repr(d.normalizer))
+                if d.normalizer < 0:
+                    regimes.add("negative normalizer")
+        assert regimes == {"finite", "infinite", "signed", "negative normalizer"}
+        digest = hashlib.sha256("\n".join(parts).encode()).hexdigest()
+        assert digest == "b88ed9d140fe6436075a70babb4c8947d257ea54f8df28bf5a883889ac8bb240"
 
 
 class TestDegenerateBinomialGeneratingFunctions:

@@ -15,6 +15,7 @@ from lahbell import (
     degenerate_exp_exact,
     degenerate_exp_series,
     degenerate_factor_numerators,
+    degenerate_factors,
     degenerate_falling_factorial,
     degenerate_falling_factorials,
     falling_factorial,
@@ -29,6 +30,7 @@ from lahbell import (
 from oracles import (
     count_list_partitions_into,
     count_set_partitions_into,
+    degenerate_factor_product,
     falling_factorial_coefficients,
 )
 
@@ -75,7 +77,23 @@ class TestFactorials:
             for j in range(k):
                 expected *= x - j * lam
             assert value == expected
+        assert degenerate_falling_factorial(x, n, lam) == prefix[-1]
 
+    @given(rationals, st.integers(0, 12), rationals)
+    def test_factor_sequence_over_one_base(self, x, n, lam):
+        factors, base = degenerate_factors(x, n, lam)
+        assert base == x.denominator * lam.denominator
+        expected = [Fraction(f, base) for f in factors]
+        assert expected == [x - j * lam for j in range(n)]
+        # a second pass sees the same sequence (a range, or a tuple at lam = 0)
+        assert [Fraction(f, base) for f in factors] == expected
+
+    def test_factor_sequence_examples(self):
+        assert degenerate_factors(1, 3, Fraction(1, 2)) == (range(2, -1, -1), 2)
+        assert degenerate_factors(Fraction(2, 3), 3, 0) == ((2, 2, 2), 3)
+        assert degenerate_factors(Fraction(2, 3), 2, -1) == (range(2, 8, 3), 3)
+        with pytest.raises(ValueError):
+            degenerate_factors(1, -1, 0)
 
     @given(rationals, st.integers(0, 12), rationals)
     def test_integer_prefixes_over_one_base(self, x, n, lam):
@@ -219,6 +237,11 @@ class TestDegenerateExponential:
             closed = degenerate_exp_eval(x, t, lam)
             truncated = float(degenerate_exp_series(x, t, lam, 200))
             assert abs(truncated - closed) < 1e-10
+
+    @given(rationals, rationals, rationals, st.integers(0, 10))
+    def test_series_is_the_exact_partial_sum(self, x, t, lam, order):
+        expected = sum(degenerate_factor_product(x, k, lam) * t**k / math.factorial(k) for k in range(order + 1))
+        assert degenerate_exp_series(x, t, lam, order) == expected
 
 
 class TestRationalHelpers:

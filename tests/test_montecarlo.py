@@ -319,6 +319,24 @@ class TestSuites:
             assert (report.mode == "STATISTICAL") == (tag in STATISTICAL_TAGS), tag
         assert all(r.status == "PASS" for r in reports)
 
+    def test_streams_only_for_statistical_checks(self, monkeypatch):
+        built = []
+
+        class RecordingStream(montecarlo.SamplerStream):
+            def __init__(self, master_seed, stream_index=0):
+                built.append((master_seed, stream_index))
+                super().__init__(master_seed, stream_index)
+
+        monkeypatch.setattr(montecarlo, "SamplerStream", RecordingStream)
+        instances = suite_instances("all", n_max=4, seed=3)
+        reports = run_suite("all", n_max=4, seed=3, trials=2000)
+        expected = [(3, index) for index, (tag, _) in enumerate(instances) if tag in STATISTICAL_TAGS]
+        assert built == expected and expected
+        assert all(r.seed == 3 for r in reports if r.mode == "STATISTICAL")
+        built.clear()
+        run_suite("lahbell", n_max=4, seed=3)
+        assert built == []
+
     def test_suite_deterministic(self):
         first = [r.to_json() for r in run_suite("dpoisson", seed=9, trials=10_000)]
         second = [r.to_json() for r in run_suite("dpoisson", seed=9, trials=10_000)]
