@@ -18,7 +18,6 @@ from .exact_core import (
     TriangleCache,
     TriangleKind,
     as_rational,
-    binomial_coefficient,
     degenerate_exp_eval,
     degenerate_exp_exact,
     degenerate_exp_series,

@@ -26,6 +26,7 @@ from .exact_core import (
     LAH_TRIANGLE,
     STIRLING1_TRIANGLE,
     STIRLING2_TRIANGLE,
+    degenerate_falling_factorial,
     format_rational,
 )
 from .montecarlo import SUITES, SamplerStream, estimate_moment, run_suite, z_score
@@ -63,22 +64,27 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
+def _refuse_factorial_entry(m: int, where: str) -> None:
+    """Raise DomainError when m!, an entry the command would print, has more
+    digits than str() may print; called before any row is built."""
+    limit = sys.get_int_max_str_digits()
+    digits = math.lgamma(m + 1) / math.log(10)
+    if limit and digits >= limit + 1:
+        raise DomainError(
+            f"result too large to print: {where} holds an entry of at least "
+            f"{int(digits)} digits, beyond the {limit}-digit limit"
+        )
+
+
 def cmd_table(args: argparse.Namespace) -> int:
     if args.n_max < 0:
         return _fail("--n-max must be nonnegative", 2)
     if args.n_max > args.cap:
         return _fail(f"--n-max {args.n_max} exceeds the cap {args.cap}", 3)
     # L(n,1) = n!, |s1(n,1)| = (n-1)! and the n-th Lah-Bell number exceeds n!, so
-    # these tables hold an entry of at least (n_max-1)!: refuse before building rows
-    # when that alone has more digits than str() may print; S2 keeps the late catch
-    limit = sys.get_int_max_str_digits()
-    if args.kind != "s2" and limit and args.n_max >= 2:
-        digits = math.lgamma(args.n_max) / math.log(10)
-        if digits >= limit + 1:
-            raise DomainError(
-                f"result too large to print: row {args.n_max} holds an entry of at least "
-                f"{int(digits)} digits, beyond the {limit}-digit limit"
-            )
+    # these tables hold an entry of at least (n_max-1)!; S2 keeps the late catch
+    if args.kind != "s2" and args.n_max >= 2:
+        _refuse_factorial_entry(args.n_max - 1, f"row {args.n_max}")
     if args.kind == "lahbell-numbers":
         data = [lah_bell_number(n) for n in range(args.n_max + 1)]
         rows = [data]
@@ -99,6 +105,13 @@ def cmd_poly(args: argparse.Namespace) -> int:
         return _fail(f"--lambda is required for family {args.family}", 2)
     if args.n < 0:
         return _fail("--n must be nonnegative", 2)
+    # refuse a coefficient too large to print before building the row: the
+    # Lah families hold L(n,1) (1)_{1,lam} = n!, the degenerate ones (1)_{n,lam}
+    # at degree n, as S2(n,n) = L(n,n) = 1
+    if args.family in ("lahbell", "dlahbell"):
+        _refuse_factorial_entry(args.n, f"polynomial {args.n}")
+    if degenerate:
+        format_rational(degenerate_falling_factorial(1, args.n, args.lam))
     if args.family == "bell":
         poly = bell_polynomial(args.n)
     elif args.family == "lahbell":

@@ -207,10 +207,6 @@ class DegeneratePoisson:
             return int(1 / self.lam)
         return None
 
-    @property
-    def classical(self) -> bool:
-        return self.lam == 0
-
     @cached_property
     def _mass_table(self) -> tuple[tuple[int, ...], int]:
         """Finite support only: with lam = 1/m this is the mass table of the
@@ -423,7 +419,7 @@ def analyze_support(d: Distribution, horizon: int = 64) -> SupportAnalysis:
         if not all_nonnegative and not negatives:
             negatives = (next(i for i, x in enumerate(nums) if x < 0),)
         return SupportAnalysis(True, cutoff, all_nonnegative, negatives)
-    if d.classical:
+    if d.lam == 0:
         return SupportAnalysis(False, None, True, ())
     # the base is positive, so the integer prefixes carry the mass signs
     prefixes, _ = degenerate_factor_numerators(1, min(horizon, _first_negative_index(d)), d.lam)

@@ -112,13 +112,6 @@ def rising_factorial(x: RationalLike, n: int) -> Fraction:
     return degenerate_falling_factorial(x, n, -1)
 
 
-def binomial_coefficient(n: int, k: int) -> int:
-    """C(n, k); zero when k > n."""
-    if n < 0 or k < 0:
-        raise ValueError("binomial_coefficient requires nonnegative arguments")
-    return math.comb(n, k)
-
-
 class TriangleKind(Enum):
     LAH = "lah"
     STIRLING1_SIGNED = "stirling1"
@@ -190,7 +183,7 @@ def lah_number_closed_form(n: int, k: int) -> int:
         return 1 if k == 0 else 0
     if k == 0 or k > n:
         return 0
-    return binomial_coefficient(n - 1, k - 1) * math.factorial(n) // math.factorial(k)
+    return math.comb(n - 1, k - 1) * math.factorial(n) // math.factorial(k)
 
 
 def stirling1_signed(n: int, k: int) -> int:

@@ -85,9 +85,6 @@ class SamplerStream:
     def uniforms(self, count: int) -> np.ndarray:
         return self._rng.random(count)
 
-    def spawn(self, stream_index: int) -> "SamplerStream":
-        return SamplerStream(self.master_seed, stream_index)
-
 
 @dataclass(frozen=True)
 class MomentEstimate:
@@ -582,9 +579,9 @@ def _check_dpoisson_sample_mean(params, samples, stream):
 SUITES = ("stirling", "lahbell", "dbinomial", "dpoisson", "pgf")
 
 
-def random_lambda(rng: random.Random, max_denominator: int = 16) -> Fraction:
-    """Random rational strictly inside (0, 1)."""
-    denominator = rng.randint(3, max_denominator)
+def random_lambda(rng: random.Random) -> Fraction:
+    """Random rational strictly inside (0, 1), with denominator 3 to 16."""
+    denominator = rng.randint(3, 16)
     return Fraction(rng.randint(1, denominator - 1), denominator)
 
 

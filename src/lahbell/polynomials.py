@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import zip_longest
 from typing import Sequence
 
 from .errors import EvaluationError, LengthError
@@ -28,7 +27,6 @@ from .exact_core import (
     TriangleCache,
     as_rational,
     degenerate_factor_numerators,
-    degenerate_falling_factorial,
     degenerate_falling_factorials,
 )
 
@@ -107,11 +105,6 @@ class RationalPolynomial:
         weights = degenerate_falling_factorials(1, self.degree, self.lam)
         return tuple(r * w / self.denominator for r, w in zip(self.row, weights))
 
-    def coefficient(self, k: int) -> Fraction:
-        if not 0 <= k < len(self.row):
-            return Fraction(0)
-        return self.row[k] * degenerate_falling_factorial(1, k, self.lam) / self.denominator
-
     def evaluate(self, value: RationalLike) -> Fraction:
         """Integer Horner, reduced once. With lam = c/e the weights are
         A_l / e**l for the integer prefixes A_l = prod_{j<l} (e - j*c), so at
@@ -145,24 +138,12 @@ class RationalPolynomial:
     def __repr__(self) -> str:
         return f"RationalPolynomial(coefficients={self.coefficients!r}, variable={self.variable!r})"
 
-    def __add__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        if not isinstance(other, RationalPolynomial):
-            return NotImplemented
-        if self.variable != other.variable:
-            raise ValueError("cannot add polynomials in different variables")
-        pairs = zip_longest(self.coefficients, other.coefficients, fillvalue=0)
-        return RationalPolynomial(tuple(a + b for a, b in pairs), self.variable)
-
-    def scaled(self, factor: RationalLike) -> "RationalPolynomial":
-        factor = as_rational(factor)
-        return RationalPolynomial(tuple(factor * c for c in self.coefficients), self.variable)
-
 
 def monomial(n: int, variable: str = "x") -> RationalPolynomial:
     """The single-term polynomial variable**n."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    return RationalPolynomial((Fraction(0),) * n + (Fraction(1),), variable)
+    return RationalPolynomial.from_row((0,) * n + (1,), 0, variable=variable)
 
 
 def bell_polynomial(n: int) -> RationalPolynomial:

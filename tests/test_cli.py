@@ -153,6 +153,27 @@ class TestPoly:
         assert code == 0
         assert len(json.loads(out)["coefficients"]) == 1001
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("dlahbell", "--n", "1500", "--lambda", "2/7919"),
+            ("dbell", "--n", "1500", "--lambda", "2/7919"),
+            ("lahbell", "--n", "1700"),
+            ("dlahbell", "--n", "1700", "--lambda", "1/3"),
+        ],
+    )
+    def test_oversized_coefficient_is_refused_before_the_build(self, capsys, argv):
+        # (1)_{1500,2/7919} has over 5000 digits and L(1700, 1) = 1700! about
+        # 4750 (at lam = 1/3 the degree-1700 weight vanishes, coefficient 1 does
+        # not), beyond the default 4300-digit limit; building the rows first
+        # took 2-4 s on a 2-vCPU VM
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "poly", *argv)
+        assert time.perf_counter() - start < 0.5
+        assert code == 4
+        assert out == ""
+        assert "too large to print" in err
+
     def test_result_too_large_to_print_is_domain_error(self, capsys):
         # the value has over 6000 digits, beyond Python's int-to-str limit
         code, out, err = run_cli(capsys, "poly", "lahbell", "--n", "2", "--eval-at", "1" + "0" * 3000)

@@ -6,6 +6,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from lahbell import (
     DegenerateBinomial,
@@ -44,10 +45,33 @@ def falling_from_rising(order, rising):
     return sum((-1) ** (order - k) * lah_number(order, k) * rising[k] for k in range(order + 1))
 
 
+@st.composite
+def _binomial_shapes(draw):
+    """(n, lam) with n <= 40 and lam = c/e, 0 <= c < e <= 45; about half the
+    draws put lam = 1/e at e = n-1, n or n+1, the edge of the vanishing rule."""
+    n = draw(st.integers(0, 40))
+    if draw(st.booleans()):
+        e = draw(st.integers(max(n - 1, 2), max(n + 1, 2)))
+        return n, Fraction(1, e)
+    e = draw(st.integers(1, 45))
+    return n, Fraction(draw(st.integers(0, e - 1)), e)
+
+
 class TestDegenerateBinomialConstruction:
     def test_vanishing_normalizer_rejected(self):
         with pytest.raises(DomainError):
             DegenerateBinomial(4, Fraction(1, 2), Fraction(1, 2))
+
+    @given(_binomial_shapes(), st.fractions(0, 1, max_denominator=20))
+    def test_rejected_exactly_when_the_normalizer_vanishes(self, shape, p):
+        n, lam = shape
+        vanishes = math.prod(1 - j * lam for j in range(n)) == 0
+        try:
+            DegenerateBinomial(n, p, lam)
+        except DomainError:
+            assert vanishes
+        else:
+            assert not vanishes
 
     def test_parameter_domains(self):
         with pytest.raises(DomainError):

@@ -10,7 +10,6 @@ from lahbell import (
     TriangleCache,
     TriangleKind,
     as_rational,
-    binomial_coefficient,
     degenerate_exp_eval,
     degenerate_exp_exact,
     degenerate_exp_series,
@@ -108,17 +107,6 @@ class TestFactorials:
         assert degenerate_factor_numerators(Fraction(2, 3), 2, -1) == ([1, 2, 10], 3)
         with pytest.raises(ValueError):
             degenerate_factor_numerators(1, -1, 0)
-
-
-class TestBinomial:
-    def test_examples(self):
-        assert binomial_coefficient(4, 2) == 6
-        assert binomial_coefficient(9, 0) == 1
-        assert binomial_coefficient(3, 5) == 0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            binomial_coefficient(-1, 0)
 
 
 class TestTriangles:

@@ -51,10 +51,6 @@ class TestSamplerStream:
         b = SamplerStream(123, 1).uniforms(100)
         assert not np.array_equal(a, b)
 
-    def test_spawn(self):
-        stream = SamplerStream(9, 0)
-        assert np.array_equal(stream.spawn(2).uniforms(50), SamplerStream(9, 2).uniforms(50))
-
     def test_seed_bounds(self):
         with pytest.raises(ValueError):
             SamplerStream(-1)
