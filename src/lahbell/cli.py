@@ -64,16 +64,21 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _refuse_factorial_entry(m: int, where: str) -> None:
-    """Raise DomainError when m!, an entry the command would print, has more
-    digits than str() may print; called before any row is built."""
+def _refuse_digits(log10_bound: float, where: str) -> None:
+    """Raise DomainError when an entry the command would print is at least
+    10**log10_bound and so has more digits than str() may print; called
+    before any row is built."""
     limit = sys.get_int_max_str_digits()
-    digits = math.lgamma(m + 1) / math.log(10)
-    if limit and digits >= limit + 1:
+    if limit and log10_bound >= limit + 1:
         raise DomainError(
             f"result too large to print: {where} holds an entry of at least "
-            f"{int(digits)} digits, beyond the {limit}-digit limit"
+            f"{int(log10_bound)} digits, beyond the {limit}-digit limit"
         )
+
+
+def _stirling2_log10(n: int) -> float:
+    """log10 max_k k**(n-k) <= log10 max_k S2(n,k): one element per block, the rest anywhere."""
+    return max(((n - k) * math.log10(k) for k in range(1, n + 1)), default=0.0)
 
 
 def cmd_table(args: argparse.Namespace) -> int:
@@ -82,9 +87,11 @@ def cmd_table(args: argparse.Namespace) -> int:
     if args.n_max > args.cap:
         return _fail(f"--n-max {args.n_max} exceeds the cap {args.cap}", 3)
     # L(n,1) = n!, |s1(n,1)| = (n-1)! and the n-th Lah-Bell number exceeds n!, so
-    # these tables hold an entry of at least (n_max-1)!; S2 keeps the late catch
-    if args.kind != "s2" and args.n_max >= 2:
-        _refuse_factorial_entry(args.n_max - 1, f"row {args.n_max}")
+    # the other tables hold an entry of at least (n_max-1)!
+    if args.kind == "s2":
+        _refuse_digits(_stirling2_log10(args.n_max), f"row {args.n_max}")
+    elif args.n_max >= 2:
+        _refuse_digits(math.lgamma(args.n_max) / math.log(10), f"row {args.n_max}")
     if args.kind == "lahbell-numbers":
         data = [lah_bell_number(n) for n in range(args.n_max + 1)]
         rows = [data]
@@ -109,7 +116,9 @@ def cmd_poly(args: argparse.Namespace) -> int:
     # Lah families hold L(n,1) (1)_{1,lam} = n!, the degenerate ones (1)_{n,lam}
     # at degree n, as S2(n,n) = L(n,n) = 1
     if args.family in ("lahbell", "dlahbell"):
-        _refuse_factorial_entry(args.n, f"polynomial {args.n}")
+        _refuse_digits(math.lgamma(args.n + 1) / math.log(10), f"polynomial {args.n}")
+    elif args.family == "bell":
+        _refuse_digits(_stirling2_log10(args.n), f"polynomial {args.n}")
     if degenerate:
         format_rational(degenerate_falling_factorial(1, args.n, args.lam))
     if args.family == "bell":

@@ -16,7 +16,7 @@ import itertools
 import json
 import math
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Mapping, Optional, Union
@@ -45,15 +45,13 @@ from .exact_core import (
     lah_number_closed_form,
 )
 from .polynomials import (
-    bell_polynomial,
-    degenerate_bell_polynomial,
     degenerate_lah_bell_polynomial,
     degenerate_lah_bell_polynomial_via_bell,
     evaluate_degenerate,
-    lah_bell_polynomial,
+    family_numerators,
     lah_bell_series_coefficients,
-    lahbell_from_bell,
-    bell_from_lahbell_degenerate,
+    signed_transform,
+    substitution_ratio,
 )
 
 TAIL_COVERAGE_GAP = 1e-12
@@ -258,8 +256,10 @@ class VerificationReport:
         return self.status == "PASS"
 
     def to_dict(self) -> dict:
-        """Fields in declaration order; `seed` and `samples` only when set."""
-        return {key: value for key, value in asdict(self).items() if value is not None}
+        """Fields in declaration order, `params` copied; `seed` and `samples` only when set."""
+        data = {field.name: getattr(self, field.name) for field in fields(self)}
+        data["params"] = dict(self.params)
+        return {key: value for key, value in data.items() if value is not None}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), separators=(",", ":"))
@@ -423,28 +423,29 @@ def _check_lah_closed_form(params):
     return worst, 0
 
 
+def _worst_gap(lhs: list[int], rhs: list[int], denominator: int) -> Fraction:
+    """max_n |lhs[n] - rhs[n]| / denominator, reduced once."""
+    return Fraction(max(abs(a - b) for a, b in zip(lhs, rhs)), denominator)
+
+
 @_identity("lahbell-series")
 def _check_lahbell_series(params):
     x = as_rational(params["x"])
     n_max = int(params["n_max"])
-    series = lah_bell_series_coefficients(x, n_max)
-    worst = Fraction(0)
-    for n in range(n_max + 1):
-        worst = max(worst, abs(series[n] - lah_bell_polynomial(n).evaluate(x)))
-    return worst, 0
+    lah, denominator = family_numerators(LAH_TRIANGLE, n_max, 0, x.numerator, x.denominator)
+    # the oracle's denominators are powers of x.denominator, so they divide D
+    series = [v.numerator * (denominator // v.denominator) for v in lah_bell_series_coefficients(x, n_max)]
+    return _worst_gap(series, lah, denominator), 0
 
 
 @_identity("lah-basis-transform")
 def _check_lah_basis_transform(params):
     alpha = as_rational(params["alpha"])
     n_max = int(params["n_max"])
-    bell_values = [bell_polynomial(k).evaluate(alpha) for k in range(n_max + 1)]
-    worst = Fraction(0)
-    for n in range(n_max + 1):
-        transformed = lahbell_from_bell(n, bell_values[: n + 1])
-        direct = lah_bell_polynomial(n).evaluate(alpha)
-        worst = max(worst, abs(transformed - direct))
-    return worst, 0
+    bell, denominator = family_numerators(STIRLING2_TRIANGLE, n_max, 0, alpha.numerator, alpha.denominator)
+    lah, _ = family_numerators(LAH_TRIANGLE, n_max, 0, alpha.numerator, alpha.denominator)
+    transformed = signed_transform(STIRLING1_TRIANGLE, bell, range(n_max + 1))
+    return _worst_gap(transformed, lah, denominator), 0
 
 
 @_identity("dlahbell-constructions")
@@ -464,18 +465,11 @@ def _check_dlahbell_constructions(params):
 @_identity("transform-roundtrip")
 def _check_transform_roundtrip(params):
     lam = as_rational(params["lam"])
-    x = as_rational(params["x"])
     n_max = int(params["n_max"])
-    bell_values = [
-        evaluate_degenerate(degenerate_bell_polynomial(k, lam), x, lam)
-        for k in range(n_max + 1)
-    ]
-    forward = [lahbell_from_bell(n, bell_values[: n + 1]) for n in range(n_max + 1)]
-    worst = Fraction(0)
-    for n in range(n_max + 1):
-        recovered = bell_from_lahbell_degenerate(n, forward[: n + 1])
-        worst = max(worst, abs(recovered - bell_values[n]))
-    return worst, 0
+    bell, denominator = family_numerators(STIRLING2_TRIANGLE, n_max, lam, *substitution_ratio(params["x"], lam))
+    rows = range(n_max + 1)
+    recovered = signed_transform(STIRLING2_TRIANGLE, signed_transform(STIRLING1_TRIANGLE, bell, rows), rows)
+    return _worst_gap(recovered, bell, denominator), 0
 
 
 def _binomial_from_params(params) -> DegenerateBinomial:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .errors import EvaluationError, LengthError
@@ -55,10 +56,8 @@ class RationalPolynomial:
     variable: str
 
     def __init__(self, coefficients: Sequence[RationalLike], variable: str = "x") -> None:
-        coeffs = [as_rational(c) for c in coefficients]
-        common = math.lcm(*(c.denominator for c in coeffs))
-        self._set(tuple(c.numerator * (common // c.denominator) for c in coeffs),
-                  Fraction(0), common, variable)
+        numerators, common = _common_numerators(coefficients)
+        self._set(tuple(numerators), Fraction(0), common, variable)
 
     @classmethod
     def from_row(cls, row: Sequence[int], lam: RationalLike, denominator: int = 1,
@@ -166,7 +165,7 @@ def lah_bell_number(n: int) -> int:
     return sum(LAH_TRIANGLE.row(n))
 
 
-def _substitution_ratio(x: RationalLike, lam: RationalLike) -> tuple[int, int]:
+def substitution_ratio(x: RationalLike, lam: RationalLike) -> tuple[int, int]:
     """y = x/(1 + lam*x) as the unreduced integer ratio p*e / (q*e + c*p) at
     x = p/q, lam = c/e."""
     x = as_rational(x)
@@ -179,7 +178,7 @@ def _substitution_ratio(x: RationalLike, lam: RationalLike) -> tuple[int, int]:
 
 def y_substitution(x: RationalLike, lam: RationalLike) -> Fraction:
     """The substituted variable y = x/(1 + lam*x)."""
-    return Fraction(*_substitution_ratio(x, lam))
+    return Fraction(*substitution_ratio(x, lam))
 
 
 def evaluate_degenerate(poly: RationalPolynomial, x: RationalLike, lam: RationalLike) -> Fraction:
@@ -189,7 +188,7 @@ def evaluate_degenerate(poly: RationalPolynomial, x: RationalLike, lam: Rational
     """
     if poly.variable != "y":
         raise ValueError("expected a polynomial in the substituted variable y")
-    return poly._horner(*_substitution_ratio(x, lam))
+    return poly._horner(*substitution_ratio(x, lam))
 
 
 def degenerate_bell_polynomial(n: int, lam: RationalLike) -> RationalPolynomial:
@@ -222,17 +221,44 @@ def degenerate_lah_bell_polynomial_via_bell(n: int, lam: RationalLike) -> Ration
     return RationalPolynomial.from_row(products, lam)
 
 
+def _common_numerators(values: Sequence[RationalLike]) -> tuple[list[int], int]:
+    """Integer numerators over the lcm of the value denominators, and that lcm."""
+    values = [as_rational(v) for v in values]
+    common = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (common // v.denominator) for v in values], common
+
+
+def family_numerators(triangle: TriangleCache, n_max: int, lam: RationalLike,
+                      p: int, q: int) -> tuple[list[int], int]:
+    """Numerators [V_0, ..., V_n_max] and denominator D > 0 with V_n / D =
+    sum_l T(n,l) (1)_{l,lam} (p/q)**l at any integers p and q != 0, such as the
+    `substitution_ratio` pair of a degenerate family. With (1)_{l,lam} = A_l / B**l
+    and s = q*B, D = s**n_max and the weights W_l = A_l p**l s**(n_max-l) are
+    built once, so each order is one integer dot product with its triangle row.
+    """
+    if q < 0:
+        p, q = -p, -q
+    prefixes, base = degenerate_factor_numerators(1, n_max, lam)
+    scale = q * base
+    weights = [a * p**l * scale ** (n_max - l) for l, a in enumerate(prefixes)]
+    return [sum(map(mul, triangle.row(n), weights)) for n in range(n_max + 1)], scale**n_max
+
+
+def signed_transform(triangle: TriangleCache, numerators: Sequence[int], rows: range) -> list[int]:
+    """[sum_k (-1)**(n-k) T(n,k) v[k] for n in rows], one integer dot product
+    per row. The transform is linear, so values v[k] / D map to results over
+    the same D."""
+    if rows and rows[-1] >= len(numerators):
+        raise LengthError(f"need {rows[-1] + 1} values, got {len(numerators)}")
+    alternating = [-v if k % 2 else v for k, v in enumerate(numerators)]
+    return [(-1) ** n * sum(map(mul, triangle.row(n), alternating)) for n in rows]
+
+
 def _signed_row_sum(triangle: TriangleCache, n: int, values: Sequence[RationalLike]) -> Fraction:
     """sum_k (-1)**(n-k) T(n,k) v[k] for row n of the triangle, as one integer
     sum over the lcm of the value denominators, reduced once."""
-    if len(values) < n + 1:
-        raise LengthError(f"need {n + 1} values, got {len(values)}")
-    row = triangle.row(n)
-    values = [as_rational(v) for v in values[: n + 1]]
-    common = math.lcm(*(v.denominator for v in values))
-    terms = ((-1) ** (n - k) * t * v.numerator * (common // v.denominator)
-             for k, (t, v) in enumerate(zip(row, values)))
-    return Fraction(sum(terms), common)
+    numerators, common = _common_numerators(values[: n + 1])
+    return Fraction(signed_transform(triangle, numerators, range(n, n + 1))[0], common)
 
 
 def lahbell_from_bell(n: int, bell_values: Sequence[RationalLike]) -> Fraction:

@@ -88,14 +88,24 @@ class TestTable:
             assert "too large to print" in err
 
     def test_s2_entry_too_large_is_caught_after_the_rows(self, capsys):
-        # S2 has no factorial lower bound, so it keeps the catch at print time:
-        # row 420 holds an entry of 683 digits
+        # row 410 holds an entry of 663 digits, but the bound S2(n,k) >= k**(n-k)
+        # promises only 629, so this row is caught at print time
         previous = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(640)
         try:
-            code, out, err = run_cli(capsys, "table", "s2", "--n-max", "420", "--cap", "420")
+            code, out, err = run_cli(capsys, "table", "s2", "--n-max", "410", "--cap", "410")
         finally:
             sys.set_int_max_str_digits(previous)
+        assert code == 4
+        assert out == ""
+        assert "too large to print" in err
+
+    def test_s2_entry_beyond_the_bound_is_refused_before_the_rows(self, capsys):
+        # S2(2600, k) >= k**(2600-k) has over 5700 digits at some k, beyond the
+        # default 4300-digit limit; building the rows first took 207 s on a 2-vCPU VM
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "table", "s2", "--n-max", "2600", "--cap", "2600")
+        assert time.perf_counter() - start < 0.5
         assert code == 4
         assert out == ""
         assert "too large to print" in err
@@ -160,13 +170,15 @@ class TestPoly:
             ("dbell", "--n", "1500", "--lambda", "2/7919"),
             ("lahbell", "--n", "1700"),
             ("dlahbell", "--n", "1700", "--lambda", "1/3"),
+            ("bell", "--n", "2600"),
         ],
     )
     def test_oversized_coefficient_is_refused_before_the_build(self, capsys, argv):
-        # (1)_{1500,2/7919} has over 5000 digits and L(1700, 1) = 1700! about
+        # (1)_{1500,2/7919} has over 5000 digits, L(1700, 1) = 1700! about
         # 4750 (at lam = 1/3 the degree-1700 weight vanishes, coefficient 1 does
-        # not), beyond the default 4300-digit limit; building the rows first
-        # took 2-4 s on a 2-vCPU VM
+        # not) and S2(2600, k) >= k**(2600-k) over 5700 at some k, beyond the
+        # default 4300-digit limit; building the rows first took 2-14 s on a
+        # 2-vCPU VM
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "poly", *argv)
         assert time.perf_counter() - start < 0.5
@@ -371,6 +383,28 @@ class TestPinnedExactOutput:
     )
     def test_verify_stdout_digest(self, capsys, argv, sha256):
         code, out, _ = run_cli(capsys, "verify", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+    # sha256 of the whole stdout of `lahbell verify lahbell --seed S --n-max N`,
+    # all EXACT lines; the seed draws the lambdas of the constructions and
+    # round-trip instances
+    @pytest.mark.parametrize(
+        "n_max, seed, sha256",
+        [
+            (0, 0, "2a5e1ff3dc062d860a66012208dbf5694c47b83f351dc3a964d914ce9ac18e41"),
+            (0, 8, "886697af504e0d6fa1881b82a0f57f1329c3c29e29118ceaa3bdbcb24e7810ca"),
+            (1, 3, "78cbb883799026b31410d9cc63deb25145d3edbe56c3d1ae6a75410067787e54"),
+            (2, 0, "df60a75a6f14bc24b3c0877b87710e7bd521a95dcc24640415f6cba8a88b53f9"),
+            (2, 8, "3fcb8781085566d813e891c6d76324bd9593b73b4bd4bed523db1025e6bc3472"),
+            (17, 0, "eefc3e4dc13ba638669263e4a11eeccc2b3cc835943683b754630f46bcb91d5f"),
+            (17, 3, "a80f49532e642a529c7dc38c80f9edf1c3ec5e94f5f589d662bbc1aab6fbc3ec"),
+            (40, 3, "6f2515a6425e5c7882dae18ed786b90dd2efb495ed42c94ade1873b42919bc17"),
+            (40, 8, "feba5448d2e382ec17ddbe758675348e5fe89558b28a7d3de70a8bf156ab0b19"),
+        ],
+    )
+    def test_verify_lahbell_stdout_digest(self, capsys, n_max, seed, sha256):
+        code, out, _ = run_cli(capsys, "verify", "lahbell", "--seed", str(seed), "--n-max", str(n_max))
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == sha256
 

@@ -25,12 +25,39 @@ from lahbell import (
 )
 from lahbell import montecarlo
 from lahbell.distributions import moment
-from lahbell.polynomials import RationalPolynomial, degenerate_lah_bell_polynomial_via_bell
+from lahbell.exact_core import STIRLING1_TRIANGLE, STIRLING2_TRIANGLE
+from lahbell.polynomials import (
+    RationalPolynomial,
+    bell_polynomial,
+    degenerate_lah_bell_polynomial_via_bell,
+    evaluate_degenerate,
+    lah_bell_polynomial,
+    lahbell_from_bell,
+)
 from lahbell.montecarlo import _cumulative_table, z_score
 from oracles import degenerate_factor_product, falling_factorial_coefficients, stirling2_explicit
 
 WITNESS = DegenerateBinomial(3, Fraction(1, 10), Fraction(2, 5))
 DP_HALF = DegeneratePoisson(Fraction(1), Fraction(1, 2))
+class CorruptedTriangle:
+    """A triangle whose entry (n, k) is off by `delta`; every other row is the real one."""
+
+    def __init__(self, triangle, n, k, delta):
+        self.triangle, self.n, self.k, self.delta = triangle, n, k, delta
+
+    def row(self, m):
+        row = self.triangle.row(m)
+        if m != self.n:
+            return row
+        return row[: self.k] + (row[self.k] + self.delta,) + row[self.k + 1:]
+
+
+def signed_row_sum(row, values):
+    """sum_k (-1)**(n-k) row[k] v[k] in Fractions, the per-n route."""
+    n = len(row) - 1
+    return sum((-1) ** (n - k) * t * v for k, (t, v) in enumerate(zip(row, values)))
+
+
 STATISTICAL_TAGS = {
     "poisson-raw-moment",
     "poisson-falling-moment",
@@ -268,6 +295,39 @@ class TestVerifyIdentity:
         assert report.status == "FAIL"
         assert (report.lhs, report.rhs) == ("7/3", "0")
         assert report.discrepancy == repr(float(Fraction(7, 3)))
+
+    def test_lah_basis_transform_reports_the_worst_gap(self, monkeypatch):
+        # S1(4, 2) off by 3: the transformed values of order 4 stop matching
+        alpha, n_max = Fraction(3, 2), 6
+        bad = CorruptedTriangle(STIRLING1_TRIANGLE, 4, 2, 3)
+        monkeypatch.setattr(montecarlo, "STIRLING1_TRIANGLE", bad)
+        bell_values = [bell_polynomial(k).evaluate(alpha) for k in range(n_max + 1)]
+        worst = max(
+            abs(signed_row_sum(bad.row(n), bell_values) - lah_bell_polynomial(n).evaluate(alpha))
+            for n in range(n_max + 1)
+        )
+        assert worst != 0
+        report = verify_identity("lah-basis-transform", {"alpha": alpha, "n_max": n_max})
+        assert report.status == "FAIL"
+        assert (report.lhs, report.rhs) == (format_rational(worst), "0")
+        assert report.discrepancy == repr(float(worst))
+
+    def test_transform_roundtrip_reports_the_worst_gap(self, monkeypatch):
+        # S2(5, 3) off by -7, in the degenerate Bell values and in the inverse
+        # transform alike, so S2 no longer inverts S1
+        lam, x, n_max = Fraction(2, 7), Fraction(3), 7
+        bad = CorruptedTriangle(STIRLING2_TRIANGLE, 5, 3, -7)
+        monkeypatch.setattr(montecarlo, "STIRLING2_TRIANGLE", bad)
+        bell_values = [
+            evaluate_degenerate(RationalPolynomial.from_row(bad.row(k), lam), x, lam) for k in range(n_max + 1)
+        ]
+        forward = [lahbell_from_bell(n, bell_values) for n in range(n_max + 1)]
+        worst = max(abs(signed_row_sum(bad.row(n), forward) - bell_values[n]) for n in range(n_max + 1))
+        assert worst != 0
+        report = verify_identity("transform-roundtrip", {"lam": lam, "x": x, "n_max": n_max})
+        assert report.status == "FAIL"
+        assert (report.lhs, report.rhs) == (format_rational(worst), "0")
+        assert report.discrepancy == repr(float(worst))
 
     def test_skipped_for_infinite_support_exact_check(self):
         common = {"alpha": Fraction(1), "lam": Fraction(2, 5)}

@@ -28,6 +28,8 @@ from lahbell import (
     stirling1_signed,
     y_substitution,
 )
+from lahbell.exact_core import LAH_TRIANGLE, STIRLING2_TRIANGLE
+from lahbell.polynomials import family_numerators, substitution_ratio
 from oracles import (
     count_list_partitions,
     count_set_partitions,
@@ -320,6 +322,43 @@ class TestTransforms:
         ]
         forward = [lahbell_from_bell(m, bell_values[: m + 1]) for m in range(n + 1)]
         assert bell_from_lahbell_degenerate(n, forward) == bell_values[n]
+
+
+class TestFamilyNumerators:
+    FAMILIES = {
+        "bell": (STIRLING2_TRIANGLE, bell_polynomial, degenerate_bell_polynomial),
+        "lahbell": (LAH_TRIANGLE, lah_bell_polynomial, degenerate_lah_bell_polynomial),
+    }
+    lams = st.one_of(
+        st.just(Fraction(0)),
+        st.integers(1, 12).map(lambda e: Fraction(1, e)),  # (1)_{l,1/e} = 0 for l > e
+        st.fractions(min_value=-3, max_value=3, max_denominator=12),
+    )
+
+    @given(st.sampled_from(sorted(FAMILIES)), st.integers(0, 40), rationals, lams)
+    def test_every_order_matches_the_per_n_value(self, family, n_max, x, lam):
+        triangle, plain, degenerate = self.FAMILIES[family]
+        if 1 + lam * x == 0:
+            with pytest.raises(EvaluationError):
+                family_numerators(triangle, n_max, lam, *substitution_ratio(x, lam))
+            with pytest.raises(EvaluationError):
+                evaluate_degenerate(degenerate(n_max, lam), x, lam)
+            return
+        numerators, denominator = family_numerators(triangle, n_max, lam, *substitution_ratio(x, lam))
+        assert denominator > 0
+        assert len(numerators) == n_max + 1
+        for n, v in enumerate(numerators):
+            assert Fraction(v, denominator) == evaluate_degenerate(degenerate(n, lam), x, lam)
+            if lam == 0:
+                assert Fraction(v, denominator) == plain(n).evaluate(x)
+
+    def test_pole_raises_like_the_per_n_path(self):
+        for lam, x in ((Fraction(1, 2), Fraction(-2)), (Fraction(-2, 3), Fraction(3, 2))):
+            for triangle, _, degenerate in self.FAMILIES.values():
+                with pytest.raises(EvaluationError):
+                    family_numerators(triangle, 5, lam, *substitution_ratio(x, lam))
+                with pytest.raises(EvaluationError):
+                    evaluate_degenerate(degenerate(5, lam), x, lam)
 
 
 class TestSeriesOracle:
