@@ -210,7 +210,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     kind = MomentKind(args.moment)
     estimate = estimate_moment(dist, kind, args.order, args.samples, SamplerStream(args.seed, 0))
     target = moment(dist, kind, args.order)
-    target_str = format_rational(target)
     z = z_score(estimate.estimate, estimate.standard_error, target)
 
     params = {}
@@ -222,25 +221,25 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         params["p"] = format_rational(dist.p)
         params["lambda"] = format_rational(dist.lam)
 
+    record = {
+        "distribution": args.dist,
+        "params": params,
+        "moment": kind.value,
+        "order": args.order,
+        "samples": args.samples,
+        "seed": args.seed,
+        "estimate": estimate.estimate,
+        "standard_error": estimate.standard_error,
+        "target": format_rational(target),
+        "z": z,
+    }
     if args.format == "json":
-        _emit(json.dumps({
-            "distribution": args.dist,
-            "params": params,
-            "moment": kind.value,
-            "order": args.order,
-            "samples": args.samples,
-            "seed": args.seed,
-            "estimate": estimate.estimate,
-            "standard_error": estimate.standard_error,
-            "target": target_str,
-            "z": z,
-        }))
+        _emit(json.dumps(record))
     else:
-        _emit("distribution,moment,order,samples,seed,estimate,standard_error,target,z")
-        _emit(",".join([
-            args.dist, kind.value, str(args.order), str(args.samples), str(args.seed),
-            repr(estimate.estimate), repr(estimate.standard_error), target_str, repr(z),
-        ]))
+        # CSV carries every field but the params map; str(float) == repr(float)
+        del record["params"]
+        _emit(",".join(record))
+        _emit(",".join(map(str, record.values())))
     return 0
 
 

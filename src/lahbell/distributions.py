@@ -51,10 +51,11 @@ class MomentKind(str, Enum):
 class SupportAnalysis:
     """Finiteness, cutoff, and sign pattern of a distribution's masses.
 
-    `negative_indices` lists indices with provably negative mass within the
-    inspection horizon; when the measure is signed but the first negative
-    index lies beyond the horizon, that first index is still included so the
-    report is never silently optimistic.
+    On a finite support `negative_indices` lists the negative-mass indices up
+    to the inspection horizon, or the first one when all lie beyond it, so the
+    report is never silently optimistic. On an infinite signed support it is
+    the first negative index alone, whatever the horizon; the mass signs
+    alternate from there on.
     """
 
     finite: bool
@@ -192,20 +193,18 @@ class DegeneratePoisson:
             raise DomainError(f"alpha must be positive, got {format_rational(alpha)}")
         if not 0 <= lam < 1:
             raise DomainError(f"lam must lie in [0, 1), got {format_rational(lam)}")
-        if lam != 0 and (1 / lam).denominator != 1 and alpha * lam >= 1:
+        if lam.numerator > 1 and alpha * lam >= 1:
             raise DomainError(
                 "infinite-support instance needs alpha*lam < 1 for its series to converge"
             )
 
     @property
     def finite_support(self) -> bool:
-        return self.lam != 0 and (1 / self.lam).denominator == 1
+        return self.lam.numerator == 1
 
     @property
     def support_cutoff(self) -> Optional[int]:
-        if self.finite_support:
-            return int(1 / self.lam)
-        return None
+        return self.lam.denominator if self.finite_support else None
 
     @cached_property
     def _mass_table(self) -> tuple[tuple[int, ...], int]:
@@ -391,39 +390,24 @@ def pgf_direct(d: Distribution, t: RationalLike) -> Fraction:
     return Fraction(acc, den * q ** (len(nums) - 1))
 
 
-def _first_negative_index(d: DegeneratePoisson) -> int:
-    """First index with negative mass for a signed degenerate Poisson.
-
-    The mass sign equals the sign of the degenerate factor product, which
-    turns negative as soon as exactly one factor 1 - j*lam is negative.
-    """
-    return math.floor(1 / d.lam) + 2
-
-
 def analyze_support(d: Distribution, horizon: int = 64) -> SupportAnalysis:
     """Report finiteness, cutoff, and mass sign pattern of a distribution.
 
-    Signs are decided in exact arithmetic. For finite supports the
-    nonnegativity verdict covers the whole support regardless of horizon; for
-    infinite supports it is the provable global answer (classical Poisson is
-    nonnegative, any other infinite-support instance is signed).
+    A degenerate Poisson is decided from lam alone, in constant time: its
+    masses are the classical Binomial(m, alpha/(m + alpha)) ones at lam = 1/m
+    and the classical Poisson ones at lam = 0, and any other lam is signed. A
+    degenerate binomial is decided exactly from its mass table, and the
+    nonnegativity verdict covers the whole support regardless of horizon.
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    if d.finite_support:
-        # the table's denominator is positive, so numerator signs are mass signs
-        nums, _ = d._mass_table
-        cutoff = d.support_cutoff
-        negatives = tuple(i for i in range(min(horizon, cutoff) + 1) if nums[i] < 0)
-        all_nonnegative = all(x >= 0 for x in nums)
-        if not all_nonnegative and not negatives:
-            negatives = (next(i for i, x in enumerate(nums) if x < 0),)
-        return SupportAnalysis(True, cutoff, all_nonnegative, negatives)
-    if d.lam == 0:
-        return SupportAnalysis(False, None, True, ())
-    # the base is positive, so the integer prefixes carry the mass signs
-    prefixes, _ = degenerate_factor_numerators(1, min(horizon, _first_negative_index(d)), d.lam)
-    negatives = tuple(i for i, prefix in enumerate(prefixes) if prefix < 0)
-    if not negatives:
-        negatives = (_first_negative_index(d),)
-    return SupportAnalysis(False, None, False, negatives)
+    if isinstance(d, DegeneratePoisson):
+        if d.lam.numerator > 1:
+            # masses carry the sign of (1)_{i,lam}; 1 - j*lam < 0 exactly for j > 1/lam
+            return SupportAnalysis(False, None, False, (d.lam.denominator // d.lam.numerator + 2,))
+        return SupportAnalysis(d.finite_support, d.support_cutoff, True, ())
+    # the table's denominator is positive, so numerator signs are mass signs
+    nums, _ = d._mass_table
+    negatives = [i for i, x in enumerate(nums) if x < 0]
+    shown = [i for i in negatives if i <= horizon] or negatives[:1]
+    return SupportAnalysis(True, d.support_cutoff, not negatives, tuple(shown))

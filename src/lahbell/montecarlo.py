@@ -251,10 +251,6 @@ class VerificationReport:
     seed: Optional[int] = None
     samples: Optional[int] = None
 
-    @property
-    def passed(self) -> bool:
-        return self.status == "PASS"
-
     def to_dict(self) -> dict:
         """Fields in declaration order, `params` copied; `seed` and `samples` only when set."""
         data = {field.name: getattr(self, field.name) for field in fields(self)}

@@ -454,6 +454,30 @@ class TestPinnedExactOutput:
         assert exit_code == code
         assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
+    # sha256 over `lahbell simulate` for the four distributions x three moment
+    # kinds x csv / json, plus a zero-standard-error run (n = 0) in both
+    # formats: each command's argv, exit code and stdout; recorded while the
+    # CSV and JSON fields were still listed separately
+    SIMULATE_FORMATS_SHA256 = "07015a36d3ae3de29341942f87dc6d8650af0526ea7915d183e5c145b4919f68"
+
+    def test_simulate_formats_digest(self, capsys):
+        dists = (
+            ("poisson", "--alpha", "3/2"),
+            ("binomial", "--n", "6", "--p", "2/5"),
+            ("dpoisson", "--alpha", "2", "--lambda", "1/5"),
+            ("dbinomial", "--n", "7", "--p", "1/3", "--lambda", "1/9"),
+        )
+        argvs = [
+            (*dist, "--moment", kind, "--order", "3", "--format", fmt)
+            for dist in dists for kind in ("raw", "falling", "rising") for fmt in ("csv", "json")
+        ]
+        argvs += [("binomial", "--n", "0", "--p", "1/2", "--format", fmt) for fmt in ("csv", "json")]
+        digest = hashlib.sha256()
+        for argv in argvs:
+            code, out, _ = run_cli(capsys, "simulate", "--dist", *argv, "--samples", "2000", "--seed", "5")
+            digest.update(f"{argv}\n{code}\n{out}\n".encode())
+        assert digest.hexdigest() == self.SIMULATE_FORMATS_SHA256
+
     # sha256 over `lahbell poly` for the four families x n in {0, 1, 2, 7, 25,
     # 60} x six lambdas (vanishing weights, negative and large lambda included)
     # x --eval-at in {none, 2/9, -3, 0} x csv / json: each command's argv,

@@ -1,12 +1,17 @@
 import hashlib
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from lahbell import (
     DegenerateBinomial,
@@ -30,8 +35,9 @@ from lahbell import (
     poisson,
 )
 from lahbell.montecarlo import _cumulative_table, random_degenerate_binomial
-from oracles import degenerate_binomial_mass
+from oracles import degenerate_binomial_mass, degenerate_factor_product
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 WITNESS = DegenerateBinomial(3, Fraction(1, 10), Fraction(2, 5))
 PGF_ARGUMENTS = (Fraction(1, 4), Fraction(-1, 4), Fraction(1, 2), Fraction(-1, 2))
 
@@ -581,3 +587,60 @@ class TestSupportAnalysis:
         d = binomial(4, Fraction(1, 3))
         analysis = analyze_support(d)
         assert analysis.finite and analysis.cutoff == 4 and analysis.all_nonnegative
+
+    def test_infinite_signed_report_is_constant_cost_at_any_horizon(self):
+        # 1/lam = m + 1/2 with m = 10**5, so the first negative mass sits at
+        # m + 2; the products (1)_{i,lam} up to it need gigabytes of integers, so the
+        # child caps its own address space and times the call itself
+        script = textwrap.dedent("""
+            import resource, time
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+            from fractions import Fraction
+            from lahbell import DegeneratePoisson, analyze_support
+            m = 10**5
+            d = DegeneratePoisson(Fraction(1, 10 * m), Fraction(2, 2 * m + 1))
+            start = time.perf_counter()
+            indices = analyze_support(d, horizon=10**9).negative_indices
+            print(indices, time.perf_counter() - start)
+        """)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        indices, elapsed = result.stdout.rsplit(" ", 1)
+        assert indices == "(100002,)"
+        assert float(elapsed) < 0.5
+
+    def test_finite_poisson_report_needs_no_mass_table(self):
+        # lam = 1/m gives the classical Binomial(m, alpha/(m + alpha)) masses;
+        # building the table for m = 20000 took about 18 s on a 2-vCPU VM
+        d = DegeneratePoisson(Fraction(1), Fraction(1, 20000))
+        start = time.perf_counter()
+        assert analyze_support(d, horizon=10**9) == SupportAnalysis(True, 20000, True, ())
+        assert time.perf_counter() - start < 0.5
+        assert "_mass_table" not in vars(d)
+
+    @given(
+        st.integers(2, 40),
+        st.integers(1, 60),
+        st.fractions(Fraction(1, 20), 20, max_denominator=20),
+        st.integers(0, 200),
+    )
+    def test_infinite_signed_report_is_the_first_negative_product(self, c, extra, alpha, horizon):
+        lam = Fraction(c, c + extra)
+        assume(lam.numerator > 1 and alpha * lam < 1)
+        first = next(i for i in itertools.count() if degenerate_factor_product(1, i, lam) < 0)
+        analysis = analyze_support(DegeneratePoisson(alpha, lam), horizon)
+        assert analysis == SupportAnalysis(False, None, False, (first,))
+
+    @given(st.integers(0, 2**32), st.integers(0, 45))
+    def test_finite_report_matches_mass_signs(self, seed, horizon):
+        d = random_degenerate_binomial(random.Random(seed))
+        masses = d.masses()
+        negatives = [i for i, x in enumerate(masses) if x < 0]
+        shown = [i for i in negatives if i <= horizon] or negatives[:1]
+        cutoff = max((i for i, x in enumerate(masses) if x), default=0)
+        analysis = analyze_support(d, horizon)
+        assert analysis == SupportAnalysis(True, cutoff, not negatives, tuple(shown))
