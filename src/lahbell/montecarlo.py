@@ -359,12 +359,16 @@ def verify_identity(
 ) -> VerificationReport:
     """Run one registered identity check and return its report.
 
-    An exact check that raises _InfiniteSupport is reported as SKIPPED.
+    An exact check that raises _InfiniteSupport is reported as SKIPPED. A
+    negative `n_max` or `order` raises DomainError before any check runs.
     """
     if tag not in _REGISTRY:
         raise UnknownIdentityError(tag)
     mode, check = _REGISTRY[tag]
     params = dict(params)
+    for key in ("n_max", "order"):
+        if key in params and int(params[key]) < 0:
+            raise DomainError(f"{key} must be nonnegative, got {params[key]}")
     if mode == "STATISTICAL":
         samples = int(samples)
         if stream is None:

@@ -14,6 +14,7 @@ and makes no Fraction.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from operator import mul
@@ -213,12 +214,22 @@ def degenerate_lah_bell_polynomial_via_bell(n: int, lam: RationalLike) -> Ration
     Lah number is read, so agreeing with the Lah-number construction
     coefficient by coefficient is a real check; the verifier makes it.
     """
+    return RationalPolynomial.from_row(_stirling_product_row(n), lam)
+
+
+@functools.cache
+def _stirling_product_row(n: int) -> tuple[int, ...]:
+    """[sum_k |S1(n, k)| S2(k, l) for l <= n], read from the Stirling triangles only.
+
+    The row does not depend on lam, so like the triangle rows it is built once
+    per process and every lam shares it; lam = 1/e only cuts it in `from_row`.
+    """
     products = [0] * (n + 1)
     for k, s1 in enumerate(STIRLING1_TRIANGLE.row(n)):
         weight = (-1) ** (n - k) * s1
         for l, s2 in enumerate(STIRLING2_TRIANGLE.row(k)):
             products[l] += weight * s2
-    return RationalPolynomial.from_row(products, lam)
+    return tuple(products)
 
 
 def _common_numerators(values: Sequence[RationalLike]) -> tuple[list[int], int]:

@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from lahbell import (
     DegenerateBinomial,
     DegeneratePoisson,
+    DomainError,
     MomentKind,
     SamplerStream,
     SignedMassError,
@@ -23,12 +25,13 @@ from lahbell import (
     suite_instances,
     verify_identity,
 )
-from lahbell import montecarlo
+from lahbell import montecarlo, polynomials
 from lahbell.distributions import moment
 from lahbell.exact_core import STIRLING1_TRIANGLE, STIRLING2_TRIANGLE
 from lahbell.polynomials import (
     RationalPolynomial,
     bell_polynomial,
+    degenerate_lah_bell_polynomial,
     degenerate_lah_bell_polynomial_via_bell,
     evaluate_degenerate,
     lah_bell_polynomial,
@@ -219,6 +222,25 @@ class TestVerifyIdentity:
         with pytest.raises(UnknownIdentityError):
             verify_identity("no-such-identity", {})
 
+    def test_negative_size_params_raise_domain_error(self):
+        # an empty n_max range used to pass as 0 = 0, and a negative order
+        # raised a plain ValueError from deep inside the check
+        sized = {}
+        for tag, params in suite_instances("all", n_max=2):
+            for key in ("n_max", "order"):
+                if key in params:
+                    sized.setdefault(tag, (key, params))
+        assert set(sized) == {
+            "stirling-inversion", "stirling1-row-sums", "lah-closed-form", "lahbell-series",
+            "lah-basis-transform", "dlahbell-constructions", "transform-roundtrip",
+            "dpoisson-rising-moment", "dpoisson-rising-expansion",
+            "poisson-raw-moment", "poisson-falling-moment", "poisson-rising-moment",
+        }
+        for tag, (key, params) in sized.items():
+            for bad in (-1, -7):
+                with pytest.raises(DomainError, match=key):
+                    verify_identity(tag, {**params, key: bad}, samples=100)
+
     def test_exact_mean_report(self):
         report = verify_identity(
             "dbinomial-mean", {"n": 2, "p": Fraction(1, 2), "lam": Fraction(1, 4)}
@@ -295,6 +317,29 @@ class TestVerifyIdentity:
         assert report.status == "FAIL"
         assert (report.lhs, report.rhs) == ("7/3", "0")
         assert report.discrepancy == repr(float(Fraction(7, 3)))
+
+    @given(st.data())
+    def test_dlahbell_constructions_pass_at_the_lambda_edges(self, data):
+        # half the draws sit at the cut lam = 1/e near the order, the rest are
+        # c/e with -40 <= c < e <= 40, negative lam included
+        n = data.draw(st.integers(0, 40))
+        if data.draw(st.booleans()):
+            lam = Fraction(1, data.draw(st.integers(max(n - 1, 1), n + 1)))
+        else:
+            e = data.draw(st.integers(1, 40))
+            lam = Fraction(data.draw(st.integers(-40, e - 1)), e)
+        report = verify_identity("dlahbell-constructions", {"lam": lam, "n_max": n})
+        assert (report.status, report.discrepancy) == ("PASS", "0")
+        assert degenerate_lah_bell_polynomial(n, lam) == degenerate_lah_bell_polynomial_via_bell(n, lam)
+
+    def test_lahbell_suite_builds_each_product_row_once(self):
+        n_max = 15
+        polynomials._stirling_product_row.cache_clear()
+        reports = run_suite("lahbell", n_max=n_max)
+        instances = sum(r.identity == "dlahbell-constructions" for r in reports)
+        info = polynomials._stirling_product_row.cache_info()
+        assert instances == 5 and all(r.status == "PASS" for r in reports)
+        assert (info.misses, info.hits) == (n_max + 1, (instances - 1) * (n_max + 1))
 
     def test_lah_basis_transform_reports_the_worst_gap(self, monkeypatch):
         # S1(4, 2) off by 3: the transformed values of order 4 stop matching

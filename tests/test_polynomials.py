@@ -28,6 +28,7 @@ from lahbell import (
     stirling1_signed,
     y_substitution,
 )
+from lahbell import polynomials
 from lahbell.exact_core import LAH_TRIANGLE, STIRLING2_TRIANGLE
 from lahbell.polynomials import family_numerators, substitution_ratio
 from oracles import (
@@ -242,6 +243,32 @@ class TestDegenerateFamilies:
         for lam in lams:
             for n in range(13):
                 assert degenerate_lah_bell_polynomial(n, lam) == degenerate_lah_bell_polynomial_via_bell(n, lam)
+
+    def test_via_bell_reads_no_lah_number_with_a_cold_row_cache(self, monkeypatch):
+        warm = [polynomials._stirling_product_row(n) for n in range(26)]
+        polynomials._stirling_product_row.cache_clear()
+
+        def no_lah_rows(n):
+            raise AssertionError("the via-Bell construction read a Lah row")
+
+        monkeypatch.setattr(LAH_TRIANGLE, "row", no_lah_rows)
+        for lam in (Fraction(0), Fraction(1, 7), Fraction(3, 5), Fraction(-2, 9), Fraction(1, 3)):
+            for n in range(26):
+                poly = degenerate_lah_bell_polynomial_via_bell(n, lam)
+                padded = list(poly.coefficients) + [0] * (n - poly.degree)
+                assert padded == degenerate_lah_bell_coefficients(n, lam)
+        assert [polynomials._stirling_product_row(n) for n in range(26)] == warm
+
+    def test_the_cut_at_one_over_e_is_the_only_lam_dependence(self):
+        for n in range(25):
+            full = degenerate_lah_bell_polynomial_via_bell(n, 0).row
+            for e in range(1, n + 3):
+                cut = list(full[: e + 1])
+                while len(cut) > 1 and cut[-1] == 0:
+                    cut.pop()
+                assert degenerate_lah_bell_polynomial_via_bell(n, Fraction(1, e)).row == tuple(cut)
+            for lam in (Fraction(2, 7), Fraction(-5, 3), Fraction(7, 2)):
+                assert degenerate_lah_bell_polynomial_via_bell(n, lam).row == full
 
     @pytest.mark.parametrize("build", [degenerate_lah_bell_polynomial, degenerate_lah_bell_polynomial_via_bell])
     @pytest.mark.parametrize("lam", [Fraction(0), Fraction(1, 7), Fraction(3, 5), Fraction(-2, 9)])
