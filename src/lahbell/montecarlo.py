@@ -28,6 +28,7 @@ from .distributions import (
     DegeneratePoisson,
     Distribution,
     MomentKind,
+    _pgf_argument,
     analyze_support,
     moment,
     moment_direct,
@@ -261,16 +262,9 @@ class VerificationReport:
         return json.dumps(self.to_dict(), separators=(",", ":"))
 
 
-def _param_string(value: object) -> str:
-    if isinstance(value, Fraction):
-        return format_rational(value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _serialize_params(params: Mapping[str, object]) -> dict[str, str]:
-    return {key: _param_string(value) for key, value in params.items()}
+    """Fractions as canonical "a/b"; sizes and the float z threshold by `str`."""
+    return {key: format_rational(value) if isinstance(value, Fraction) else str(value) for key, value in params.items()}
 
 
 def _exact_report(identity: str, params: Mapping[str, object], lhs: RationalLike, rhs: RationalLike) -> VerificationReport:
@@ -285,18 +279,6 @@ def _exact_report(identity: str, params: Mapping[str, object], lhs: RationalLike
         rhs=format_rational(rhs),
         discrepancy="0" if equal else repr(float(abs(lhs - rhs))),
         status="PASS" if equal else "FAIL",
-    )
-
-
-def _skipped_report(identity: str, params: Mapping[str, object]) -> VerificationReport:
-    return VerificationReport(
-        identity=identity,
-        params=_serialize_params(params),
-        mode="EXACT",
-        lhs="",
-        rhs="",
-        discrepancy="0",
-        status="SKIPPED",
     )
 
 
@@ -329,21 +311,47 @@ class _InfiniteSupport(Exception):
     """An exact check that sums over a finite support met an infinite one."""
 
 
-_REGISTRY: dict[str, tuple[str, Callable]] = {}
+_REGISTRY: dict[str, tuple[str, frozenset[str], Callable]] = {}
+
+# size params are plain ints >= 0; every other param is a rational
+_SIZES = {"n", "n_max", "order"}
 
 
-def _identity(tag: str, mode: str = "EXACT"):
-    """Register a check as tag -> (mode, check).
+def _identity(tag: str, *keys: str, mode: str = "EXACT"):
+    """Register a check as tag -> (mode, keys, check).
 
-    EXACT checks take params and return (lhs, rhs); STATISTICAL checks take
-    (params, samples, stream) and return (estimate, standard_error, target).
+    Checks take the typed params as keyword arguments. EXACT checks return
+    (lhs, rhs); STATISTICAL checks also take `samples` and `stream` and
+    return (estimate, standard_error, target).
     """
 
     def wrap(func: Callable) -> Callable:
-        _REGISTRY[tag] = (mode, func)
+        _REGISTRY[tag] = (mode, frozenset(keys), func)
         return func
 
     return wrap
+
+
+def _is_count(value: object, least: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
+def _typed_params(tag: str, keys: frozenset[str], params: Mapping[str, object]) -> dict[str, object]:
+    """The params in the caller's order, sizes checked and the rest as Fractions."""
+    if set(params) != keys:
+        raise DomainError(f"{tag} takes params {sorted(keys)}, got {list(params)}")
+    typed = {}
+    for key, value in params.items():
+        if key in _SIZES:
+            if not _is_count(value, 0):
+                raise DomainError(f"{key} must be a nonnegative int, got {value!r}")
+            typed[key] = value
+        else:
+            try:
+                typed[key] = as_rational(value)
+            except (TypeError, ValueError, ZeroDivisionError) as exc:
+                raise DomainError(f"{key} must be a rational, got {value!r}: {exc}") from exc
+    return typed
 
 
 def registered_identities() -> tuple[str, ...]:
@@ -359,32 +367,35 @@ def verify_identity(
 ) -> VerificationReport:
     """Run one registered identity check and return its report.
 
-    An exact check that raises _InfiniteSupport is reported as SKIPPED. A
-    negative `n_max` or `order` raises DomainError before any check runs.
+    `params` must hold exactly the tag's keys, or DomainError is raised
+    before any check runs. The sizes `n`, `n_max` and `order` must be
+    non-bool ints >= 0; every other value goes through `as_rational`
+    (Fraction, int or "a/b" string; floats are refused). A statistical check
+    needs a non-bool int `samples` >= 2. `poisson-pgf`, like `dpoisson-pgf`
+    on a finite support, raises DomainError unless |t| < 1. The report
+    serializes the typed values, so "2/4" is reported as "1/2". An exact
+    check that raises _InfiniteSupport is reported as SKIPPED.
     """
     if tag not in _REGISTRY:
         raise UnknownIdentityError(tag)
-    mode, check = _REGISTRY[tag]
-    params = dict(params)
-    for key in ("n_max", "order"):
-        if key in params and int(params[key]) < 0:
-            raise DomainError(f"{key} must be nonnegative, got {params[key]}")
+    mode, keys, check = _REGISTRY[tag]
+    params = _typed_params(tag, keys, params)
     if mode == "STATISTICAL":
-        samples = int(samples)
+        if not _is_count(samples, 2):
+            raise DomainError(f"samples must be an int >= 2, got {samples!r}")
         if stream is None:
             stream = SamplerStream(0, 0)
-        estimate, standard_error, target = check(params, samples, stream)
+        estimate, standard_error, target = check(**params, samples=samples, stream=stream)
         return _z_report(tag, params, estimate, standard_error, target, float(z_threshold), stream, samples)
     try:
-        lhs, rhs = check(params)
+        lhs, rhs = check(**params)
     except _InfiniteSupport:
-        return _skipped_report(tag, params)
+        return VerificationReport(tag, _serialize_params(params), "EXACT", "", "", "0", "SKIPPED")
     return _exact_report(tag, params, lhs, rhs)
 
 
-@_identity("stirling-inversion")
-def _check_stirling_inversion(params):
-    n_max = int(params["n_max"])
+@_identity("stirling-inversion", "n_max")
+def _check_stirling_inversion(n_max):
     s1_rows = [STIRLING1_TRIANGLE.row(n) for n in range(n_max + 1)]
     s2_rows = [STIRLING2_TRIANGLE.row(n) for n in range(n_max + 1)]
     worst = 0
@@ -403,9 +414,8 @@ def _check_stirling_inversion(params):
     return worst, 0
 
 
-@_identity("stirling1-row-sums")
-def _check_stirling1_row_sums(params):
-    n_max = int(params["n_max"])
+@_identity("stirling1-row-sums", "n_max")
+def _check_stirling1_row_sums(n_max):
     worst = 0
     for n in range(n_max + 1):
         row_sum = sum(abs(s1) for s1 in STIRLING1_TRIANGLE.row(n))
@@ -413,9 +423,8 @@ def _check_stirling1_row_sums(params):
     return worst, 0
 
 
-@_identity("lah-closed-form")
-def _check_lah_closed_form(params):
-    n_max = int(params["n_max"])
+@_identity("lah-closed-form", "n_max")
+def _check_lah_closed_form(n_max):
     worst = 0
     for n in range(n_max + 1):
         for k, value in enumerate(LAH_TRIANGLE.row(n)):
@@ -428,30 +437,24 @@ def _worst_gap(lhs: list[int], rhs: list[int], denominator: int) -> Fraction:
     return Fraction(max(abs(a - b) for a, b in zip(lhs, rhs)), denominator)
 
 
-@_identity("lahbell-series")
-def _check_lahbell_series(params):
-    x = as_rational(params["x"])
-    n_max = int(params["n_max"])
+@_identity("lahbell-series", "x", "n_max")
+def _check_lahbell_series(x, n_max):
     lah, denominator = family_numerators(LAH_TRIANGLE, n_max, 0, x.numerator, x.denominator)
     # the oracle's denominators are powers of x.denominator, so they divide D
     series = [v.numerator * (denominator // v.denominator) for v in lah_bell_series_coefficients(x, n_max)]
     return _worst_gap(series, lah, denominator), 0
 
 
-@_identity("lah-basis-transform")
-def _check_lah_basis_transform(params):
-    alpha = as_rational(params["alpha"])
-    n_max = int(params["n_max"])
+@_identity("lah-basis-transform", "alpha", "n_max")
+def _check_lah_basis_transform(alpha, n_max):
     bell, denominator = family_numerators(STIRLING2_TRIANGLE, n_max, 0, alpha.numerator, alpha.denominator)
     lah, _ = family_numerators(LAH_TRIANGLE, n_max, 0, alpha.numerator, alpha.denominator)
     transformed = signed_transform(STIRLING1_TRIANGLE, bell, range(n_max + 1))
     return _worst_gap(transformed, lah, denominator), 0
 
 
-@_identity("dlahbell-constructions")
-def _check_dlahbell_constructions(params):
-    lam = as_rational(params["lam"])
-    n_max = int(params["n_max"])
+@_identity("dlahbell-constructions", "lam", "n_max")
+def _check_dlahbell_constructions(lam, n_max):
     worst = Fraction(0)
     for n in range(n_max + 1):
         direct = degenerate_lah_bell_polynomial(n, lam)
@@ -462,90 +465,76 @@ def _check_dlahbell_constructions(params):
     return worst, 0
 
 
-@_identity("transform-roundtrip")
-def _check_transform_roundtrip(params):
-    lam = as_rational(params["lam"])
-    n_max = int(params["n_max"])
-    bell, denominator = family_numerators(STIRLING2_TRIANGLE, n_max, lam, *substitution_ratio(params["x"], lam))
+@_identity("transform-roundtrip", "lam", "x", "n_max")
+def _check_transform_roundtrip(lam, x, n_max):
+    bell, denominator = family_numerators(STIRLING2_TRIANGLE, n_max, lam, *substitution_ratio(x, lam))
     rows = range(n_max + 1)
     recovered = signed_transform(STIRLING2_TRIANGLE, signed_transform(STIRLING1_TRIANGLE, bell, rows), rows)
     return _worst_gap(recovered, bell, denominator), 0
 
 
-def _binomial_from_params(params) -> DegenerateBinomial:
-    return DegenerateBinomial(int(params["n"]), as_rational(params["p"]), as_rational(params["lam"]))
-
-
-def _dpoisson_from_params(params) -> DegeneratePoisson:
-    return DegeneratePoisson(as_rational(params["alpha"]), as_rational(params["lam"]))
-
-
-def _finite_dpoisson_from_params(params) -> DegeneratePoisson:
+def _finite_dpoisson(alpha: Fraction, lam: Fraction) -> DegeneratePoisson:
     """Exact dpoisson checks sum over a finite support; an infinite one raises
     _InfiniteSupport, which `verify_identity` reports as SKIPPED."""
-    d = _dpoisson_from_params(params)
+    d = DegeneratePoisson(alpha, lam)
     if not d.finite_support:
         raise _InfiniteSupport
     return d
 
 
-def _register_family_checks(family: str, from_params: Callable[[dict], Distribution]) -> None:
+def _register_family_checks(family: str, keys: tuple[str, ...], build: Callable[..., Distribution]) -> None:
     """{family}-{normalization,mean,variance}: the direct raw moment of order
     0 (the mass sum) is 1, and the closed-form mean and variance equal the
     direct sums over the masses."""
 
-    @_identity(f"{family}-normalization")
-    def normalization(params):
-        return moment_direct(from_params(params), MomentKind.RAW, 0), 1
+    @_identity(f"{family}-normalization", *keys)
+    def normalization(**params):
+        return moment_direct(build(**params), MomentKind.RAW, 0), 1
 
-    @_identity(f"{family}-mean")
-    def mean(params):
-        d = from_params(params)
+    @_identity(f"{family}-mean", *keys)
+    def mean(**params):
+        d = build(**params)
         return d.mean(), moment_direct(d, MomentKind.RAW, 1)
 
-    @_identity(f"{family}-variance")
-    def variance(params):
-        d = from_params(params)
+    @_identity(f"{family}-variance", *keys)
+    def variance(**params):
+        d = build(**params)
         brute = moment_direct(d, MomentKind.RAW, 2) - moment_direct(d, MomentKind.RAW, 1) ** 2
         return d.variance(), brute
 
 
-_register_family_checks("dbinomial", _binomial_from_params)
-_register_family_checks("dpoisson", _finite_dpoisson_from_params)
+_register_family_checks("dbinomial", ("n", "p", "lam"), DegenerateBinomial)
+_register_family_checks("dpoisson", ("alpha", "lam"), _finite_dpoisson)
 
 
-@_identity("dpoisson-rising-moment")
-def _check_dpoisson_rising_moment(params):
-    d = _finite_dpoisson_from_params(params)
-    order = int(params["order"])
+@_identity("dpoisson-rising-moment", "alpha", "lam", "order")
+def _check_dpoisson_rising_moment(alpha, lam, order):
+    d = _finite_dpoisson(alpha, lam)
     lhs = moment_direct(d, MomentKind.RISING, order)
-    rhs = evaluate_degenerate(degenerate_lah_bell_polynomial(order, d.lam), d.alpha, d.lam)
+    rhs = evaluate_degenerate(degenerate_lah_bell_polynomial(order, lam), alpha, lam)
     return lhs, rhs
 
 
-@_identity("dpoisson-rising-expansion")
-def _check_dpoisson_rising_expansion(params):
-    d = _finite_dpoisson_from_params(params)
-    order = int(params["order"])
+@_identity("dpoisson-rising-expansion", "alpha", "lam", "order")
+def _check_dpoisson_rising_expansion(alpha, lam, order):
+    d = _finite_dpoisson(alpha, lam)
     lhs = moment_direct(d, MomentKind.RISING, order)
-    rhs = evaluate_degenerate(degenerate_lah_bell_polynomial_via_bell(order, d.lam), d.alpha, d.lam)
+    rhs = evaluate_degenerate(degenerate_lah_bell_polynomial_via_bell(order, lam), alpha, lam)
     return lhs, rhs
 
 
-@_identity("dpoisson-pgf")
-def _check_dpoisson_pgf(params):
-    d = _finite_dpoisson_from_params(params)
-    t = as_rational(params["t"])
+@_identity("dpoisson-pgf", "alpha", "lam", "t")
+def _check_dpoisson_pgf(alpha, lam, t):
+    d = _finite_dpoisson(alpha, lam)
     return d.pgf(t), pgf_direct(d, t)
 
 
 def _register_poisson_moment_check(kind: MomentKind) -> None:
     """poisson-{raw,falling,rising}-moment: sample estimate against the exact `moment`."""
 
-    @_identity(f"poisson-{kind.value}-moment", "STATISTICAL")
-    def check(params, samples, stream):
-        d = poisson(as_rational(params["alpha"]))
-        order = int(params["order"])
+    @_identity(f"poisson-{kind.value}-moment", "alpha", "order", mode="STATISTICAL")
+    def check(alpha, order, samples, stream):
+        d = poisson(alpha)
         est = estimate_moment(d, kind, order, samples, stream)
         return est.estimate, est.standard_error, moment(d, kind, order)
 
@@ -554,18 +543,17 @@ for _kind in MomentKind:
     _register_poisson_moment_check(_kind)
 
 
-@_identity("poisson-pgf", "STATISTICAL")
-def _check_poisson_pgf(params, samples, stream):
-    alpha = as_rational(params["alpha"])
-    u = float(1 / (1 - as_rational(params["t"])))
+@_identity("poisson-pgf", "alpha", "t", mode="STATISTICAL")
+def _check_poisson_pgf(alpha, t, samples, stream):
+    u = float(_pgf_argument(t))
     values = u ** draw_samples(poisson(alpha), samples, stream).astype(np.float64)
     estimate, standard_error = _mean_and_standard_error(values)
     return estimate, standard_error, math.exp(float(alpha) * (u - 1.0))
 
 
-@_identity("dpoisson-sample-mean", "STATISTICAL")
-def _check_dpoisson_sample_mean(params, samples, stream):
-    d = _dpoisson_from_params(params)
+@_identity("dpoisson-sample-mean", "alpha", "lam", mode="STATISTICAL")
+def _check_dpoisson_sample_mean(alpha, lam, samples, stream):
+    d = DegeneratePoisson(alpha, lam)
     est = estimate_moment(d, MomentKind.RAW, 1, samples, stream)
     return est.estimate, est.standard_error, d.mean()
 

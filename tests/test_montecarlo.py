@@ -4,16 +4,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lahbell import (
     DegenerateBinomial,
     DegeneratePoisson,
     DomainError,
+    LahBellError,
     MomentKind,
     SamplerStream,
     SignedMassError,
     UnknownIdentityError,
+    VerificationReport,
     draw_samples,
     estimate_moment,
     estimate_moment_partitioned,
@@ -224,10 +226,11 @@ class TestVerifyIdentity:
 
     def test_negative_size_params_raise_domain_error(self):
         # an empty n_max range used to pass as 0 = 0, and a negative order
-        # raised a plain ValueError from deep inside the check
+        # raised a plain ValueError from deep inside the check; a non-integer
+        # size was truncated silently and reported PASS
         sized = {}
         for tag, params in suite_instances("all", n_max=2):
-            for key in ("n_max", "order"):
+            for key in ("n", "n_max", "order"):
                 if key in params:
                     sized.setdefault(tag, (key, params))
         assert set(sized) == {
@@ -235,11 +238,76 @@ class TestVerifyIdentity:
             "lah-basis-transform", "dlahbell-constructions", "transform-roundtrip",
             "dpoisson-rising-moment", "dpoisson-rising-expansion",
             "poisson-raw-moment", "poisson-falling-moment", "poisson-rising-moment",
+            "dbinomial-normalization", "dbinomial-mean", "dbinomial-variance",
         }
         for tag, (key, params) in sized.items():
-            for bad in (-1, -7):
+            for bad in (-1, -7, Fraction(7, 2), Fraction(5, 2), Fraction(3, 2), 2.9, "abc", True):
                 with pytest.raises(DomainError, match=key):
                     verify_identity(tag, {**params, key: bad}, samples=100)
+
+    def test_params_must_hold_exactly_the_tag_keys(self):
+        # a missing key used to raise a bare KeyError, a typo key was echoed
+        # into the report, and a float reached as_rational's TypeError
+        instances = dict(suite_instances("all", n_max=2))
+        assert set(instances) == set(registered_identities())
+        for tag, params in instances.items():
+            for key in params:
+                with pytest.raises(DomainError):
+                    verify_identity(tag, {k: v for k, v in params.items() if k != key}, samples=100)
+                if key not in ("n", "n_max", "order"):
+                    with pytest.raises(DomainError):
+                        verify_identity(tag, {**params, key: 0.5}, samples=100)
+            with pytest.raises(DomainError):
+                verify_identity(tag, {**params, "n_maxx": 2}, samples=100)
+
+    def test_rational_params_are_reported_canonically(self):
+        report = verify_identity("dbinomial-mean", {"n": 2, "p": "2/4", "lam": "1/4"})
+        assert report.status == "PASS"
+        assert report.params == {"n": "2", "p": "1/2", "lam": "1/4"}
+
+    def test_bad_samples_raise_domain_error(self):
+        # samples = 2.9 ran as 2, samples = 1 gave a NaN standard error on
+        # poisson-pgf and samples = 0 divided by zero there
+        instances = {tag: params for tag, params in suite_instances("all") if tag in STATISTICAL_TAGS}
+        assert set(instances) == STATISTICAL_TAGS
+        for tag, params in instances.items():
+            for bad in (0, 1, -3, 2.9, True, "100"):
+                with pytest.raises(DomainError, match="samples"):
+                    verify_identity(tag, params, samples=bad, stream=SamplerStream(0, 0))
+            assert verify_identity(tag, params, samples=2, stream=SamplerStream(0, 0)).samples == 2
+
+    def test_poisson_pgf_refuses_t_outside_the_unit_interval(self):
+        # t = 1 divided by zero, and |t| >= 1 ran although dpoisson-pgf refuses it
+        for t in (Fraction(1), Fraction(-1), Fraction(3)):
+            with pytest.raises(DomainError, match=r"\|t\| < 1"):
+                verify_identity("poisson-pgf", {"alpha": Fraction(1), "t": t}, samples=100)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_any_params_give_a_report_or_a_typed_error(self, data):
+        # a slice of the regime sweep: every tag, valid and invalid values per
+        # key, dropped and extra keys, and bad sample counts
+        tag = data.draw(st.sampled_from(registered_identities()))
+        template = dict(suite_instances("all", n_max=2))[tag]
+        junk = st.sampled_from([-1, -7, Fraction(7, 2), 2.9, 0.5, float("nan"), "abc", "1/0", "2/4", True, None, []])
+        rationals = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+
+        def value(valid):
+            return data.draw(junk if data.draw(st.integers(0, 3)) == 0 else valid)
+
+        params = {}
+        for key in template:
+            if data.draw(st.integers(0, 9)) != 0:
+                params[key] = value(st.integers(0, 14) if key in ("n", "n_max", "order") else rationals)
+        if data.draw(st.integers(0, 9)) == 0:
+            params["extra"] = value(rationals)
+        samples = value(st.integers(2, 300))
+        try:
+            report = verify_identity(tag, params, samples=samples, stream=SamplerStream(0, 0))
+        except LahBellError:
+            return
+        assert isinstance(report, VerificationReport)
+        assert report.status in ("PASS", "FAIL", "SKIPPED")
 
     def test_exact_mean_report(self):
         report = verify_identity(
