@@ -26,6 +26,7 @@ from .exact_core import (
     LAH_TRIANGLE,
     STIRLING1_TRIANGLE,
     STIRLING2_TRIANGLE,
+    as_rational,
     degenerate_falling_factorial,
     format_rational,
 )
@@ -50,7 +51,9 @@ _TRIANGLES = {
 
 def _rational(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        return as_rational(text)
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 

@@ -20,6 +20,7 @@ measure regardless, so moment routines work unconditionally, while
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -39,6 +40,11 @@ from .exact_core import (
     degenerate_falling_factorial,
     format_rational,
 )
+
+
+class _InfiniteSupport(DomainError):
+    """An exact mass table was asked of an infinite support; the verifier
+    reports an exact check that meets it as SKIPPED."""
 
 
 class MomentKind(str, Enum):
@@ -212,7 +218,7 @@ class DegeneratePoisson:
         classical Binomial(m, alpha/(m + alpha))."""
         m = self.support_cutoff
         if m is None:
-            raise DomainError("exact mass table requires a finite support")
+            raise _InfiniteSupport("exact mass table requires a finite support")
         return _binomial_mass_numerators(m, self.alpha / (m + self.alpha), Fraction(0))
 
     def pmf(self, i: int) -> Union[Fraction, float]:
@@ -220,6 +226,11 @@ class DegeneratePoisson:
 
         With lam = 1/m and alpha = a/b the mass is the binomial one,
         C(m,i) a**i (m*b)**(m-i) / (m*b + a)**m, computed without the table.
+        On an infinite support the mass is the normalizer e_lam(alpha)**-1
+        times the exact ratio alpha**i (1)_{i,lam} / i!. When either lies
+        outside the normal float range (exp(-alpha) is subnormal past
+        alpha ~ 708), their logs are added instead, the ratio's through
+        `math.log` on its integer parts, and the ratio's sign is kept.
         """
         if i < 0:
             raise ValueError("index must be nonnegative")
@@ -229,8 +240,18 @@ class DegeneratePoisson:
                 return Fraction(0)
             a, b = self.alpha.numerator, self.alpha.denominator
             return Fraction(math.comb(m, i) * a**i * (m * b) ** (m - i), (m * b + a) ** m)
-        mass = float(self.alpha**i * degenerate_falling_factorial(1, i, self.lam) / math.factorial(i))
-        return degenerate_exp_eval(-1, self.alpha, self.lam) * mass
+        ratio = self.alpha**i * degenerate_falling_factorial(1, i, self.lam) / math.factorial(i)
+        normalizer = degenerate_exp_eval(-1, self.alpha, self.lam)
+        tiny, huge = sys.float_info.min, sys.float_info.max
+        if normalizer >= tiny and tiny <= abs(ratio) <= huge:
+            return normalizer * float(ratio)
+        # log e_lam(alpha)**-1 is -alpha at lam = 0 and -log(1 + lam*alpha)/lam otherwise
+        if self.lam:
+            log_normalizer = -math.log1p(float(self.lam * self.alpha)) / float(self.lam)
+        else:
+            log_normalizer = -float(self.alpha)
+        log_ratio = math.log(abs(ratio.numerator)) - math.log(ratio.denominator)
+        return (-1.0 if ratio < 0 else 1.0) * math.exp(log_ratio + log_normalizer)
 
     def masses(self) -> list[Fraction]:
         """Exact mass table; only defined for finite support."""

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
 import threading
 from enum import Enum
 from fractions import Fraction
@@ -28,13 +29,30 @@ def as_rational(value: RationalLike) -> Fraction:
     """Coerce ints, "a/b" strings, and Fractions to an exact Fraction.
 
     Floats are rejected: silently converting them would smuggle binary
-    rounding into results that are contractually exact.
+    rounding into results that are contractually exact. A string with more
+    digits in a part, or a larger decimal exponent, than Python's int-to-str
+    limit raises DomainError before `Fraction` builds the integer ("1e3000000"
+    would cost a 3-million-digit power of 10).
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
         raise TypeError("floats are not exact; pass a Fraction, int, or 'a/b' string")
+    if isinstance(value, str):
+        _refuse_oversized(value)
     return Fraction(value)
+
+
+def _refuse_oversized(text: str) -> None:
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        return
+    mantissa, _, exponent = text.lower().partition("e")
+    if any(sum(map(str.isdecimal, part)) > limit for part in (*mantissa.split("/"), exponent)):
+        raise DomainError(f"rational string has a part of more than {limit} digits")
+    exponent = exponent.strip().lstrip("+-").replace("_", "")
+    if exponent.isdecimal() and int(exponent) > limit:
+        raise DomainError(f"rational string has a decimal exponent beyond {limit}")
 
 
 def format_rational(value: RationalLike) -> str:

@@ -28,6 +28,7 @@ from .distributions import (
     DegeneratePoisson,
     Distribution,
     MomentKind,
+    _InfiniteSupport,
     _pgf_argument,
     analyze_support,
     moment,
@@ -40,7 +41,6 @@ from .exact_core import (
     LAH_TRIANGLE,
     STIRLING1_TRIANGLE,
     STIRLING2_TRIANGLE,
-    RationalLike,
     as_rational,
     format_rational,
     lah_number_closed_form,
@@ -57,6 +57,9 @@ from .polynomials import (
 
 TAIL_COVERAGE_GAP = 1e-12
 _TABLE_BUDGET = 100_000
+# a subnormal below 2**-1034 has at most 40 significant bits, fewer than a
+# coverage gap of 1e-12 needs; exp(-alpha) falls below it past alpha ~ 716.7
+_LEAST_START_MASS = 2.0**-1034
 
 
 def _check_seed(master_seed: int) -> None:
@@ -103,7 +106,7 @@ def _cumulative_table(d: Distribution) -> np.ndarray:
     numerators over its denominator, rounded once. Infinite supports
     (classical Poisson) are truncated once coverage reaches
     1 - TAIL_COVERAGE_GAP and the last bucket is renormalized to absorb the
-    tail.
+    tail; a start mass exp(-alpha) below 2**-1034 raises TailError at once.
     """
     analysis = analyze_support(d)
     if not analysis.all_nonnegative:
@@ -121,8 +124,11 @@ def _cumulative_table(d: Distribution) -> np.ndarray:
         cumulative = []
         acc = 0.0
         stream = d._float_mass_stream()
-        for _ in range(_TABLE_BUDGET):
-            acc += next(stream)
+        start = next(stream)
+        if start < _LEAST_START_MASS:
+            raise TailError(f"start mass exp(-alpha) = {start!r} has too few significant bits for coverage {target}")
+        for mass in itertools.islice(itertools.chain((start,), stream), _TABLE_BUDGET):
+            acc += mass
             cumulative.append(acc)
             if acc >= target:
                 break
@@ -267,9 +273,7 @@ def _serialize_params(params: Mapping[str, object]) -> dict[str, str]:
     return {key: format_rational(value) if isinstance(value, Fraction) else str(value) for key, value in params.items()}
 
 
-def _exact_report(identity: str, params: Mapping[str, object], lhs: RationalLike, rhs: RationalLike) -> VerificationReport:
-    lhs = as_rational(lhs)
-    rhs = as_rational(rhs)
+def _exact_report(identity: str, params: Mapping[str, object], lhs: Fraction | int, rhs: Fraction | int) -> VerificationReport:
     equal = lhs == rhs
     return VerificationReport(
         identity=identity,
@@ -305,10 +309,6 @@ def _z_report(
         seed=stream.master_seed,
         samples=samples,
     )
-
-
-class _InfiniteSupport(Exception):
-    """An exact check that sums over a finite support met an infinite one."""
 
 
 _REGISTRY: dict[str, tuple[str, frozenset[str], Callable]] = {}
@@ -354,6 +354,16 @@ def _typed_params(tag: str, keys: frozenset[str], params: Mapping[str, object]) 
     return typed
 
 
+def _z_bound(value: object) -> float:
+    """`z_threshold` as a float; it must be a non-bool int or float >= 0, inf included."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool) and value >= 0:
+        try:
+            return float(value)
+        except OverflowError:  # an int past the float range
+            return math.inf
+    raise DomainError(f"z_threshold must be a nonnegative number, got {value!r}")
+
+
 def registered_identities() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
@@ -371,22 +381,25 @@ def verify_identity(
     before any check runs. The sizes `n`, `n_max` and `order` must be
     non-bool ints >= 0; every other value goes through `as_rational`
     (Fraction, int or "a/b" string; floats are refused). A statistical check
-    needs a non-bool int `samples` >= 2. `poisson-pgf`, like `dpoisson-pgf`
-    on a finite support, raises DomainError unless |t| < 1. The report
-    serializes the typed values, so "2/4" is reported as "1/2". An exact
-    check that raises _InfiniteSupport is reported as SKIPPED.
+    needs a non-bool int `samples` >= 2. `z_threshold` must be a non-bool
+    int or float >= 0 (inf allowed, NaN refused). `poisson-pgf` and
+    `dpoisson-pgf` raise DomainError unless |t| < 1, on any support. The
+    report serializes the typed values, so "2/4" is reported as "1/2". An
+    exact check on a degenerate Poisson with an infinite support, which has
+    no exact mass table, is reported as SKIPPED.
     """
     if tag not in _REGISTRY:
         raise UnknownIdentityError(tag)
     mode, keys, check = _REGISTRY[tag]
     params = _typed_params(tag, keys, params)
+    z_threshold = _z_bound(z_threshold)
     if mode == "STATISTICAL":
         if not _is_count(samples, 2):
             raise DomainError(f"samples must be an int >= 2, got {samples!r}")
         if stream is None:
             stream = SamplerStream(0, 0)
         estimate, standard_error, target = check(**params, samples=samples, stream=stream)
-        return _z_report(tag, params, estimate, standard_error, target, float(z_threshold), stream, samples)
+        return _z_report(tag, params, estimate, standard_error, target, z_threshold, stream, samples)
     try:
         lhs, rhs = check(**params)
     except _InfiniteSupport:
@@ -414,27 +427,22 @@ def _check_stirling_inversion(n_max):
     return worst, 0
 
 
+def _worst_gap(lhs: list[int], rhs: list[int], denominator: int = 1) -> Fraction:
+    """max_n |lhs[n] - rhs[n]| / denominator, reduced once."""
+    return Fraction(max(abs(a - b) for a, b in zip(lhs, rhs)), denominator)
+
+
 @_identity("stirling1-row-sums", "n_max")
 def _check_stirling1_row_sums(n_max):
-    worst = 0
-    for n in range(n_max + 1):
-        row_sum = sum(abs(s1) for s1 in STIRLING1_TRIANGLE.row(n))
-        worst = max(worst, abs(row_sum - math.factorial(n)))
-    return worst, 0
+    row_sums = [sum(map(abs, STIRLING1_TRIANGLE.row(n))) for n in range(n_max + 1)]
+    return _worst_gap(row_sums, [math.factorial(n) for n in range(n_max + 1)]), 0
 
 
 @_identity("lah-closed-form", "n_max")
 def _check_lah_closed_form(n_max):
-    worst = 0
-    for n in range(n_max + 1):
-        for k, value in enumerate(LAH_TRIANGLE.row(n)):
-            worst = max(worst, abs(value - lah_number_closed_form(n, k)))
-    return worst, 0
-
-
-def _worst_gap(lhs: list[int], rhs: list[int], denominator: int) -> Fraction:
-    """max_n |lhs[n] - rhs[n]| / denominator, reduced once."""
-    return Fraction(max(abs(a - b) for a, b in zip(lhs, rhs)), denominator)
+    rows = range(n_max + 1)
+    cached = [value for n in rows for value in LAH_TRIANGLE.row(n)]
+    return _worst_gap(cached, [lah_number_closed_form(n, k) for n in rows for k in range(n + 1)]), 0
 
 
 @_identity("lahbell-series", "x", "n_max")
@@ -473,15 +481,6 @@ def _check_transform_roundtrip(lam, x, n_max):
     return _worst_gap(recovered, bell, denominator), 0
 
 
-def _finite_dpoisson(alpha: Fraction, lam: Fraction) -> DegeneratePoisson:
-    """Exact dpoisson checks sum over a finite support; an infinite one raises
-    _InfiniteSupport, which `verify_identity` reports as SKIPPED."""
-    d = DegeneratePoisson(alpha, lam)
-    if not d.finite_support:
-        raise _InfiniteSupport
-    return d
-
-
 def _register_family_checks(family: str, keys: tuple[str, ...], build: Callable[..., Distribution]) -> None:
     """{family}-{normalization,mean,variance}: the direct raw moment of order
     0 (the mass sum) is 1, and the closed-form mean and variance equal the
@@ -504,29 +503,28 @@ def _register_family_checks(family: str, keys: tuple[str, ...], build: Callable[
 
 
 _register_family_checks("dbinomial", ("n", "p", "lam"), DegenerateBinomial)
-_register_family_checks("dpoisson", ("alpha", "lam"), _finite_dpoisson)
+_register_family_checks("dpoisson", ("alpha", "lam"), DegeneratePoisson)
 
 
 @_identity("dpoisson-rising-moment", "alpha", "lam", "order")
 def _check_dpoisson_rising_moment(alpha, lam, order):
-    d = _finite_dpoisson(alpha, lam)
-    lhs = moment_direct(d, MomentKind.RISING, order)
-    rhs = evaluate_degenerate(degenerate_lah_bell_polynomial(order, lam), alpha, lam)
-    return lhs, rhs
+    lhs = moment_direct(DegeneratePoisson(alpha, lam), MomentKind.RISING, order)
+    return lhs, evaluate_degenerate(degenerate_lah_bell_polynomial(order, lam), alpha, lam)
 
 
 @_identity("dpoisson-rising-expansion", "alpha", "lam", "order")
 def _check_dpoisson_rising_expansion(alpha, lam, order):
-    d = _finite_dpoisson(alpha, lam)
-    lhs = moment_direct(d, MomentKind.RISING, order)
-    rhs = evaluate_degenerate(degenerate_lah_bell_polynomial_via_bell(order, lam), alpha, lam)
-    return lhs, rhs
+    lhs = moment_direct(DegeneratePoisson(alpha, lam), MomentKind.RISING, order)
+    return lhs, evaluate_degenerate(degenerate_lah_bell_polynomial_via_bell(order, lam), alpha, lam)
 
 
 @_identity("dpoisson-pgf", "alpha", "lam", "t")
 def _check_dpoisson_pgf(alpha, lam, t):
-    d = _finite_dpoisson(alpha, lam)
-    return d.pgf(t), pgf_direct(d, t)
+    d = DegeneratePoisson(alpha, lam)
+    # the direct sum first: an infinite support has no mass table and SKIPs
+    # before the closed form computes a float
+    rhs = pgf_direct(d, t)
+    return d.pgf(t), rhs
 
 
 def _register_poisson_moment_check(kind: MomentKind) -> None:

@@ -186,6 +186,19 @@ class TestPoly:
         assert out == ""
         assert "too large to print" in err
 
+    @pytest.mark.parametrize("flag", ["--eval-at", "--lambda"])
+    def test_oversized_rational_argument_is_a_usage_error(self, capsys, flag):
+        # Fraction("1e3000000") built a 3-million-digit integer: 7.9 s on a
+        # 2-vCPU VM before `poly` exited 4
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["poly", "dlahbell", "--n", "2", "--lambda", "1/2", flag, "1e3000000"])
+        captured = capsys.readouterr()
+        assert time.perf_counter() - start < 1.0
+        assert excinfo.value.code == 2
+        assert captured.out == ""
+        assert "decimal exponent" in captured.err
+
     def test_result_too_large_to_print_is_domain_error(self, capsys):
         # the value has over 6000 digits, beyond Python's int-to-str limit
         code, out, err = run_cli(capsys, "poly", "lahbell", "--n", "2", "--eval-at", "1" + "0" * 3000)
@@ -285,6 +298,29 @@ class TestSimulate:
         )
         assert code == 5
         assert "index 2" in err
+
+    @pytest.mark.parametrize("alpha", ["717", "730", "740", "745", "800"])
+    def test_large_alpha_poisson_exits_4(self, capsys, alpha):
+        # exp(-alpha) < 2**-1034 has too few significant bits for the tail
+        # coverage; 740 and 745 used to exit 0 with z = -2.7 and -156.5
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "simulate", "--dist", "poisson", "--alpha", alpha, "--samples", "20000", "--seed", "1"
+        )
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (4, "")
+        assert "significant bits" in err
+
+    def test_alpha_716_poisson_stdout_digest(self, capsys):
+        # the largest integer alpha that still samples; stdout pinned before
+        # the start-mass bound went in
+        code, out, _ = run_cli(
+            capsys, "simulate", "--dist", "poisson", "--alpha", "716", "--samples", "20000", "--seed", "1"
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "bcbf7fd4ee39b28e9faf26b3964d9917b617cc86eba0d48496698ee87f305c14"
+        )
 
     def test_missing_required_params(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--dist", "dbinomial", "--samples", "1000")

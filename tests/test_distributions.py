@@ -1,3 +1,4 @@
+import decimal
 import hashlib
 import itertools
 import math
@@ -396,6 +397,42 @@ class TestDegeneratePoissonPmf:
     def test_classical_pmf_is_float(self):
         p = poisson(2)
         assert p.pmf(3) == pytest.approx(math.exp(-2) * 8 / 6, rel=1e-12)
+
+    def test_classical_pmf_past_the_float_range(self):
+        # pmf(720) at 720 and pmf(700) at 800 raised a bare OverflowError (the
+        # ratio alpha**i / i! overflows a float) and pmf(500) at 745 returned
+        # 4.85e-22 for about 2.77e-22 (exp(-745) is a one-bit subnormal)
+        def reference(alpha, i):
+            return math.exp(i * math.log(alpha) - alpha - math.lgamma(i + 1))
+
+        points = [(720, 720), (800, 700), (745, 500)]
+        for alpha in [*range(709, 2001, 17), Fraction(1441, 2), Fraction(5000, 3)]:
+            spread = int(3 * math.sqrt(alpha))
+            points += [(alpha, int(alpha) - spread), (alpha, int(alpha)), (alpha, int(alpha) + spread)]
+        for alpha, i in points:
+            assert poisson(alpha).pmf(i) == pytest.approx(reference(float(alpha), i), rel=1e-10), (alpha, i)
+        assert poisson(745).pmf(0) == 5e-324 and poisson(800).pmf(10) == 0.0
+
+    def test_signed_pmf_with_a_subnormal_normalizer(self):
+        # (1 + lam*alpha)**(-1/lam) underflows to 0.0 at alpha = 1000,
+        # lam = 2/3001, so every mass came out 0.0 or overflowed; the reference
+        # is the exact ratio times the normalizer in 60-digit decimals
+        decimal.getcontext().prec = 60
+
+        def reference(alpha, lam, i):
+            ratio = alpha**i * degenerate_factor_product(1, i, lam) / math.factorial(i)
+            base = 1 + lam * alpha
+            log_normalizer = -(decimal.Decimal(base.numerator) / base.denominator).ln() * lam.denominator / lam.numerator
+            return float(decimal.Decimal(ratio.numerator) / ratio.denominator * log_normalizer.exp())
+
+        d = DegeneratePoisson(Fraction(1000), Fraction(2, 3001))
+        for i in (0, 300, 600, 700, 900, 1200):
+            expected = reference(d.alpha, d.lam, i)
+            assert d.pmf(i) == pytest.approx(expected, rel=1e-10, abs=0 if expected else 1e-320), i
+        # the first negative mass keeps its sign, though it is subnormal
+        d = DegeneratePoisson(Fraction(1024), Fraction(2, 2049))
+        first = analyze_support(d).negative_indices[0]
+        assert d.pmf(first - 1) > 0 > d.pmf(first)
 
     def test_float_boundary_digest(self):
         # sha256 of the classical pmf, mass stream and pgf reprs plus four exact

@@ -1,5 +1,6 @@
 import math
 import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -244,3 +245,15 @@ class TestRationalHelpers:
 
     def test_as_rational_parses_strings(self):
         assert as_rational("2/5") == Fraction(2, 5)
+
+    def test_as_rational_refuses_oversized_strings_at_once(self):
+        # Fraction("1e3000000") built a 3-million-digit integer first: 7.9 s
+        # on a 2-vCPU VM; an over-long part was a bare ValueError
+        for text in ("1e3000000", "-1E-3000000", "5e+4301", "1" * 4301, "1/" + "7" * 4301, "0." + "3" * 4301):
+            start = time.perf_counter()
+            with pytest.raises(DomainError, match="rational string"):
+                as_rational(text)
+            assert time.perf_counter() - start < 1.0, text[:12]
+        assert as_rational("1e4300") == 10**4300
+        assert as_rational("9" * 4300 + "/" + "7" * 4300) == Fraction(int("9" * 4300), int("7" * 4300))
+        assert as_rational("2.5e-3") == Fraction(1, 400)

@@ -14,6 +14,7 @@ from lahbell import (
     MomentKind,
     SamplerStream,
     SignedMassError,
+    TailError,
     UnknownIdentityError,
     VerificationReport,
     draw_samples,
@@ -112,6 +113,16 @@ class TestCumulativeTables:
             natural += next(stream)
         assert natural >= 1.0 - 1e-12
         assert table[-2] < 1.0 - 1e-12
+
+    def test_classical_poisson_start_mass_too_small_raises_tail_error(self):
+        # exp(-alpha) below 2**-1034 keeps at most 40 significant bits; alpha
+        # 740-745 used to build a table from it and sample far below the mean
+        for alpha in (717, 730, 740, 745, 800):
+            start = time.perf_counter()
+            with pytest.raises(TailError, match="significant bits"):
+                _cumulative_table.__wrapped__(poisson(alpha))
+            assert time.perf_counter() - start < 1.0, alpha
+        assert _cumulative_table.__wrapped__(poisson(716))[-1] == 1.0
 
     def test_large_finite_table_finishes_in_bounded_time(self):
         d = DegenerateBinomial(1500, Fraction(1, 3), Fraction(1, 7919))
@@ -281,6 +292,32 @@ class TestVerifyIdentity:
         for t in (Fraction(1), Fraction(-1), Fraction(3)):
             with pytest.raises(DomainError, match=r"\|t\| < 1"):
                 verify_identity("poisson-pgf", {"alpha": Fraction(1), "t": t}, samples=100)
+
+    def test_dpoisson_pgf_refuses_t_outside_the_unit_interval_on_any_support(self):
+        # an infinite support (lam = 2/5) used to report SKIPPED for any t
+        for lam in (Fraction(1, 2), Fraction(2, 5)):
+            for t in (Fraction(1), Fraction(-3)):
+                with pytest.raises(DomainError, match=r"\|t\| < 1"):
+                    verify_identity("dpoisson-pgf", {"alpha": Fraction(1), "lam": lam, "t": t})
+
+    def test_z_threshold_must_be_a_nonnegative_number(self):
+        # "abc" raised a bare ValueError and None a bare TypeError; NaN and -1.0
+        # made every statistical check FAIL, and True ran as 1.0
+        params = {"alpha": Fraction(2), "order": 3}
+        for bad in ("abc", None, float("nan"), -1.0, True):
+            with pytest.raises(DomainError, match="z_threshold"):
+                verify_identity("poisson-raw-moment", params, samples=1000, z_threshold=bad)
+        for good in (5.0, float("inf")):
+            report = verify_identity("poisson-raw-moment", params, samples=1000, z_threshold=good)
+            assert (report.status, report.params["z_threshold"]) == ("PASS", str(good))
+
+    def test_oversized_rational_param_is_refused_at_once(self):
+        # Fraction("1e3000000") built a 3-million-digit integer: 11.5 s on a
+        # 2-vCPU VM before the report failed to print it
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="x must be a rational"):
+            verify_identity("lahbell-series", {"x": "1e3000000", "n_max": 2})
+        assert time.perf_counter() - start < 1.0
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -455,6 +492,15 @@ class TestVerifyIdentity:
             report = verify_identity(tag, {**common, **extra})
             assert (report.identity, report.mode, report.status) == (tag, "EXACT", "SKIPPED"), tag
             assert (report.lhs, report.rhs, report.discrepancy) == ("", "", "0"), tag
+
+    def test_infinite_support_pgf_skips_before_the_closed_form(self, monkeypatch):
+        # the mass table decides SKIPPED; the float closed form is never computed
+        def closed_form(self, t):
+            raise AssertionError("closed-form pgf evaluated")
+
+        monkeypatch.setattr(DegeneratePoisson, "pgf", closed_form)
+        report = verify_identity("dpoisson-pgf", {"alpha": Fraction(1), "lam": Fraction(2, 5), "t": Fraction(1, 2)})
+        assert report.status == "SKIPPED"
 
     def test_reports_are_byte_identical_across_reruns(self):
         kwargs = dict(samples=20_000, z_threshold=5.0)
