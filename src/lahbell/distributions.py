@@ -86,7 +86,7 @@ class DegenerateBinomial:
 
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 0:
-            raise ValueError("n must be a nonnegative integer")
+            raise DomainError("n must be a nonnegative integer")
         p = as_rational(self.p)
         lam = as_rational(self.lam)
         object.__setattr__(self, "p", p)
@@ -227,10 +227,14 @@ class DegeneratePoisson:
         With lam = 1/m and alpha = a/b the mass is the binomial one,
         C(m,i) a**i (m*b)**(m-i) / (m*b + a)**m, computed without the table.
         On an infinite support the mass is the normalizer e_lam(alpha)**-1
-        times the exact ratio alpha**i (1)_{i,lam} / i!. When either lies
-        outside the normal float range (exp(-alpha) is subnormal past
-        alpha ~ 708), their logs are added instead, the ratio's through
-        `math.log` on its integer parts, and the ratio's sign is kept.
+        times the exact ratio alpha**i (1)_{i,lam} / i!. An `lgamma` bound on
+        log|mass| comes first: when it lies more than 1 below the log of the
+        least subnormal, the mass rounds to zero, and a zero with the sign of
+        (1)_{i,lam} is returned without building the ratio. When the
+        normalizer or the ratio lies outside the normal float range
+        (exp(-alpha) is subnormal past alpha ~ 708), their logs are added
+        instead, the ratio's through `math.log` on its integer parts, and the
+        ratio's sign is kept.
         """
         if i < 0:
             raise ValueError("index must be nonnegative")
@@ -240,18 +244,23 @@ class DegeneratePoisson:
                 return Fraction(0)
             a, b = self.alpha.numerator, self.alpha.denominator
             return Fraction(math.comb(m, i) * a**i * (m * b) ** (m - i), (m * b + a) ** m)
-        ratio = self.alpha**i * degenerate_falling_factorial(1, i, self.lam) / math.factorial(i)
         normalizer = degenerate_exp_eval(-1, self.alpha, self.lam)
-        tiny, huge = sys.float_info.min, sys.float_info.max
-        if normalizer >= tiny and tiny <= abs(ratio) <= huge:
-            return normalizer * float(ratio)
         # log e_lam(alpha)**-1 is -alpha at lam = 0 and -log(1 + lam*alpha)/lam otherwise
         if self.lam:
             log_normalizer = -math.log1p(float(self.lam * self.alpha)) / float(self.lam)
         else:
             log_normalizer = -float(self.alpha)
+        # the factors 1 - j*lam of (1)_{i,lam} are negative exactly for j > 1/lam
+        negative_factors = max(i - 1 - self.lam.denominator // self.lam.numerator, 0) if self.lam else 0
+        sign = -1.0 if negative_factors % 2 else 1.0
+        if _log_abs_mass_bound(self.alpha, self.lam, i, log_normalizer) < _LOG_LEAST_SUBNORMAL - 1:
+            return math.copysign(0.0, sign)
+        ratio = self.alpha**i * degenerate_falling_factorial(1, i, self.lam) / math.factorial(i)
+        tiny, huge = sys.float_info.min, sys.float_info.max
+        if normalizer >= tiny and tiny <= abs(ratio) <= huge:
+            return normalizer * float(ratio)
         log_ratio = math.log(abs(ratio.numerator)) - math.log(ratio.denominator)
-        return (-1.0 if ratio < 0 else 1.0) * math.exp(log_ratio + log_normalizer)
+        return sign * math.exp(log_ratio + log_normalizer)
 
     def masses(self) -> list[Fraction]:
         """Exact mass table; only defined for finite support."""
@@ -344,6 +353,33 @@ def _binomial_mass_numerators(n: int, p: Fraction, lam: Fraction) -> tuple[tuple
     if den < 0:
         return tuple(-x for x in nums), -den
     return tuple(nums), den
+
+
+_LOG_LEAST_SUBNORMAL = math.log(sys.float_info.min * sys.float_info.epsilon)
+
+
+def _log_abs_mass_bound(alpha: Fraction, lam: Fraction, i: int, log_normalizer: float) -> float:
+    """An upper bound on log|mass_i| of an infinite-support degenerate Poisson.
+
+    The terms are log alpha**i / i! by `lgamma`, the log normalizer and, at
+    lam = c/e, log|(1)_{i,lam}| = i log lam + log|Gamma(1/lam + 1) /
+    Gamma(1/lam - i + 1)|. With 1/lam = q + x (q = e // c, 0 < x < 1) that
+    gamma ratio is Gamma(q + x + 1) / Gamma(q + x + 1 - h) over the first
+    h = min(i, q + 1) factors, which are positive, times Gamma(i - q - x) /
+    Gamma(1 - x) over the rest; every argument is positive, and x = r/c and
+    1 - x = (c - r)/c come from exact integers, so a factor close to zero
+    keeps its relative accuracy. Their float error is covered by adding
+    1e-12 of the terms' sizes.
+    """
+    terms = [i * (math.log(alpha.numerator) - math.log(alpha.denominator)), -math.lgamma(i + 1), log_normalizer]
+    if lam:
+        c, e = lam.numerator, lam.denominator
+        q, r = divmod(e, c)
+        head = min(i, q + 1)
+        terms += [i * (math.log(c) - math.log(e)), math.lgamma(q + 1 + r / c), -math.lgamma(q + 1 - head + r / c)]
+        if i > q + 1:
+            terms += [math.lgamma(i - q - 1 + (c - r) / c), -math.lgamma((c - r) / c)]
+    return math.fsum(terms) + 1e-12 * sum(map(abs, terms))
 
 
 def _pgf_argument(t: RationalLike) -> Fraction:

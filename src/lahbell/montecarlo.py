@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import random
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -181,6 +182,21 @@ def _mean_and_standard_error(values: np.ndarray) -> tuple[float, float]:
     return float(np.mean(values)), float(np.std(values, ddof=1)) / math.sqrt(len(values))
 
 
+def _checked_kind(kind: Union[MomentKind, str], order: int, samples: int) -> MomentKind:
+    """The argument check every moment estimate shares."""
+    kind = MomentKind(kind)
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    if samples < 2:
+        raise ValueError("need at least two samples for a standard error")
+    return kind
+
+
+def _reduce(draws: np.ndarray, kind: MomentKind, order: int) -> MomentEstimate:
+    estimate, standard_error = _mean_and_standard_error(_moment_values(draws, kind, order))
+    return MomentEstimate(estimate, standard_error, len(draws), kind, order)
+
+
 def estimate_moment(
     d: Distribution,
     kind: Union[MomentKind, str],
@@ -189,14 +205,8 @@ def estimate_moment(
     stream: SamplerStream,
 ) -> MomentEstimate:
     """Sample mean and standard error of the chosen factorial power."""
-    kind = MomentKind(kind)
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    if samples < 2:
-        raise ValueError("need at least two samples for a standard error")
-    values = _moment_values(draw_samples(d, samples, stream), kind, order)
-    estimate, standard_error = _mean_and_standard_error(values)
-    return MomentEstimate(estimate, standard_error, samples, kind, order)
+    kind = _checked_kind(kind, order, samples)
+    return _reduce(draw_samples(d, samples, stream), kind, order)
 
 
 def estimate_moment_partitioned(
@@ -207,36 +217,23 @@ def estimate_moment_partitioned(
     master_seed: int,
     workers: int,
 ) -> MomentEstimate:
-    """Split estimation across worker substreams (stream_index = worker id).
+    """Split the draws across worker substreams (stream_index = worker id).
 
-    Per-worker results are merged by Chan's parallel mean/M2 combination in
-    ascending worker order, so the merged estimate depends only on the master
-    seed and the worker count, never on scheduling. Workers past the sample
-    count would draw nothing, so the loop stops at min(workers, samples).
+    The worker draws are joined in ascending worker order and reduced as
+    `estimate_moment` reduces its single stream, so the estimate depends only
+    on the master seed and the worker count, and one worker gives exactly
+    `estimate_moment`'s result on stream 0. Workers past the sample count
+    would draw nothing, so the loop stops at min(workers, samples).
     """
-    kind = MomentKind(kind)
+    kind = _checked_kind(kind, order, samples)
     if workers < 1:
         raise ValueError("workers must be positive")
-    if samples < 2:
-        raise ValueError("need at least two samples for a standard error")
     base, remainder = divmod(samples, workers)
-    merged_n = 0
-    merged_mean = 0.0
-    merged_m2 = 0.0
-    for worker in range(min(workers, samples)):
-        chunk = base + (1 if worker < remainder else 0)
-        values = _moment_values(
-            draw_samples(d, chunk, SamplerStream(master_seed, worker)), kind, order
-        )
-        chunk_mean = float(np.mean(values))
-        chunk_m2 = float(np.sum((values - chunk_mean) ** 2))
-        delta = chunk_mean - merged_mean
-        total = merged_n + chunk
-        merged_mean += delta * chunk / total
-        merged_m2 += chunk_m2 + delta * delta * merged_n * chunk / total
-        merged_n = total
-    se = math.sqrt(merged_m2 / (merged_n - 1) / merged_n)
-    return MomentEstimate(merged_mean, se, merged_n, kind, order)
+    chunks = [
+        draw_samples(d, base + (worker < remainder), SamplerStream(master_seed, worker))
+        for worker in range(min(workers, samples))
+    ]
+    return _reduce(np.concatenate(chunks) if len(chunks) > 1 else chunks[0], kind, order)
 
 
 @dataclass
@@ -409,22 +406,18 @@ def verify_identity(
 
 @_identity("stirling-inversion", "n_max")
 def _check_stirling_inversion(n_max):
-    s1_rows = [STIRLING1_TRIANGLE.row(n) for n in range(n_max + 1)]
-    s2_rows = [STIRLING2_TRIANGLE.row(n) for n in range(n_max + 1)]
-    worst = 0
-    for n in range(n_max + 1):
-        # row n of S1*S2 and of S2*S1; entries past column n are 0 on both sides
-        first = [0] * (n + 1)
-        second = [0] * (n + 1)
-        for k, (s1, s2) in enumerate(zip(s1_rows[n], s2_rows[n])):
-            for m, value in enumerate(s2_rows[k]):
-                first[m] += s1 * value
-            for m, value in enumerate(s1_rows[k]):
-                second[m] += s2 * value
-        for m in range(n + 1):
-            delta = 1 if n == m else 0
-            worst = max(worst, abs(first[m] - delta), abs(second[m] - delta))
-    return worst, 0
+    rows = range(n_max + 1)
+    s1 = [STIRLING1_TRIANGLE.row(n) for n in rows]
+    s2 = [STIRLING2_TRIANGLE.row(n) for n in rows]
+
+    def product(a, b):
+        # entry (n, m) of A*B for n >= m; both factors are lower triangular, so
+        # only m <= k <= n contributes and the entries above the diagonal are 0
+        columns = [[b[k][m] for k in range(m, n_max + 1)] for m in rows]
+        return [sum(map(operator.mul, a[n][m:], columns[m])) for n in rows for m in range(n + 1)]
+
+    identity = [int(n == m) for n in rows for m in range(n + 1)]
+    return _worst_gap(product(s1, s2) + product(s2, s1), identity * 2), 0
 
 
 def _worst_gap(lhs: list[int], rhs: list[int], denominator: int = 1) -> Fraction:

@@ -322,6 +322,10 @@ class TestSimulate:
             "bcbf7fd4ee39b28e9faf26b3964d9917b617cc86eba0d48496698ee87f305c14"
         )
 
+    def test_negative_binomial_size_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--dist", "binomial", "--n", "-1", "--p", "1/2")
+        assert (code, out, err) == (2, "", "error: n must be a nonnegative integer\n")
+
     def test_missing_required_params(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--dist", "dbinomial", "--samples", "1000")
         assert code == 2

@@ -85,8 +85,10 @@ class TestDegenerateBinomialConstruction:
             DegenerateBinomial(2, Fraction(3, 2), Fraction(0))
         with pytest.raises(DomainError):
             DegenerateBinomial(2, Fraction(1, 2), Fraction(1))
-        with pytest.raises(ValueError):
-            DegenerateBinomial(-1, Fraction(1, 2), Fraction(0))
+        # a bad size raised a bare ValueError, every other bad parameter DomainError
+        for n in (-1, True, 2.0):
+            with pytest.raises(DomainError, match="^n must be a nonnegative integer$"):
+                DegenerateBinomial(n, Fraction(1, 2), Fraction(0))
 
     def test_immutable_and_hashable(self):
         d = DegenerateBinomial(2, Fraction(1, 2), Fraction(1, 4))
@@ -433,6 +435,46 @@ class TestDegeneratePoissonPmf:
         d = DegeneratePoisson(Fraction(1024), Fraction(2, 2049))
         first = analyze_support(d).negative_indices[0]
         assert d.pmf(first - 1) > 0 > d.pmf(first)
+
+    def test_underflowed_mass_returns_at_once(self):
+        # the exact ratio alpha**i (1)_{i,lam} / i! was built for any i: 0.87 s
+        # and 0.25 s for these two zeros
+        for d, i, zero in ((poisson(2), 100_000, 0.0), (DegeneratePoisson(1, Fraction(2, 5)), 20_000, -0.0)):
+            start = time.perf_counter()
+            mass = d.pmf(i)
+            assert time.perf_counter() - start < 0.1, (d, i)
+            assert mass == 0 and math.copysign(1.0, mass) == math.copysign(1.0, zero), (d, i)
+
+    def test_pmf_across_the_underflow_edge_digest(self):
+        # sha256 of float.hex of every mass on a grid around the index where the
+        # mass first rounds to zero (both sides of the mode at alpha 800), taken
+        # before the log-space underflow bound went in; each zero carries the
+        # sign of (1)_{i,lam}, whose factors 1 - j*lam are negative for j > 1/lam
+        grid = (
+            (Fraction(1, 2), Fraction(0), (157,)),
+            (Fraction(1, 2), Fraction(2, 5), (450,)),
+            (Fraction(1, 2), Fraction(2, 3001), (155,)),
+            (Fraction(2), Fraction(0), (205,)),
+            (Fraction(2), Fraction(2, 5), (3207,)),
+            (Fraction(2), Fraction(2, 3001), (201,)),
+            (Fraction(37, 3), Fraction(0), (323,)),
+            (Fraction(37, 3), Fraction(2, 3001), (312,)),
+            (Fraction(800), Fraction(0), (11, 2115)),
+            (Fraction(800), Fraction(2, 3001), (1246,)),
+        )
+        parts = []
+        for alpha, lam, edges in grid:
+            d = DegeneratePoisson(alpha, lam)
+            for edge in edges:
+                for i in [*range(max(edge - 8, 0), edge + 24), 2 * edge, 4 * edge]:
+                    mass = d.pmf(i)
+                    if mass == 0:
+                        negative_factors = sum(j * lam > 1 for j in range(i))
+                        assert math.copysign(1.0, mass) == (-1.0) ** negative_factors, (alpha, lam, i)
+                    parts.append(mass.hex())
+        assert len(parts) == 374
+        digest = hashlib.sha256("\n".join(parts).encode()).hexdigest()
+        assert digest == "11de41e6b30e32480bc6b5a5cd36c9d8260e449177edff7e753513ed79348695"
 
     def test_float_boundary_digest(self):
         # sha256 of the classical pmf, mass stream and pgf reprs plus four exact

@@ -207,8 +207,18 @@ class TestPartitionedEstimation:
     def test_single_worker_matches_plain(self):
         plain = estimate_moment(poisson(2), "falling", 2, 50_000, SamplerStream(7, 0))
         merged = estimate_moment_partitioned(poisson(2), "falling", 2, 50_000, 7, 1)
-        assert merged.estimate == pytest.approx(plain.estimate, rel=1e-12)
-        assert merged.standard_error == pytest.approx(plain.standard_error, rel=1e-9)
+        assert merged == plain
+
+    @pytest.mark.parametrize("kind", ["raw", "falling", "rising"])
+    def test_negative_order_raises_before_any_draw(self, monkeypatch, kind):
+        # "falling" used to return the mean (1.99) and "raw" NaN, where
+        # estimate_moment raises
+        def draw(*args):
+            raise AssertionError("drew before checking the order")
+
+        monkeypatch.setattr(montecarlo, "draw_samples", draw)
+        with pytest.raises(ValueError, match="order must be nonnegative"):
+            estimate_moment_partitioned(poisson(2), kind, -1, 1000, 1, 2)
 
     def test_merge_is_deterministic(self):
         first = estimate_moment_partitioned(DP_HALF, "raw", 1, 30_001, 5, 4)
@@ -445,6 +455,30 @@ class TestVerifyIdentity:
         info = polynomials._stirling_product_row.cache_info()
         assert instances == 5 and all(r.status == "PASS" for r in reports)
         assert (info.misses, info.hits) == (n_max + 1, (instances - 1) * (n_max + 1))
+
+    @pytest.mark.parametrize("name, n, k, delta", [("STIRLING1_TRIANGLE", 5, 2, 4), ("STIRLING2_TRIANGLE", 6, 3, -2)])
+    def test_stirling_inversion_reports_the_worst_gap(self, monkeypatch, name, n, k, delta):
+        # one corrupted entry; lhs is the worst |entry - delta_nm| of S1*S2 and
+        # S2*S1, here from full square matrix products
+        n_max = 8
+        bad = CorruptedTriangle(getattr(montecarlo, name), n, k, delta)
+        monkeypatch.setattr(montecarlo, name, bad)
+
+        def square(triangle):
+            return [list(triangle.row(r)) + [0] * (n_max - r) for r in range(n_max + 1)]
+
+        s1, s2 = square(montecarlo.STIRLING1_TRIANGLE), square(montecarlo.STIRLING2_TRIANGLE)
+        worst = max(
+            abs(sum(a[r][j] * b[j][c] for j in range(n_max + 1)) - (r == c))
+            for a, b in ((s1, s2), (s2, s1))
+            for r in range(n_max + 1)
+            for c in range(n_max + 1)
+        )
+        assert worst != 0
+        report = verify_identity("stirling-inversion", {"n_max": n_max})
+        assert report.status == "FAIL"
+        assert (report.lhs, report.rhs) == (format_rational(worst), "0")
+        assert report.discrepancy == repr(float(worst))
 
     def test_lah_basis_transform_reports_the_worst_gap(self, monkeypatch):
         # S1(4, 2) off by 3: the transformed values of order 4 stop matching
