@@ -1,9 +1,11 @@
 """Deterministic-seed sampling and statistical / exact identity verification.
 
 Sampling is inverse-CDF lookup against an exact cumulative table (floated once
-per distribution). Streams are numpy generators keyed by (master_seed,
-stream_index) through a splittable seed sequence, so identical keys reproduce
-identical draws and distinct indices give independent substreams.
+per distribution), sped up by a guide table whose every draw equals
+`np.searchsorted(table, u, side="right")`. Streams are numpy generators keyed
+by (master_seed, stream_index) through a splittable seed sequence, so
+identical keys reproduce identical draws and distinct indices give
+independent substreams.
 
 `verify_identity` runs one named identity check and returns a structured
 report: exact checks demand literal rational equality, statistical checks run
@@ -61,6 +63,8 @@ _TABLE_BUDGET = 100_000
 # a subnormal below 2**-1034 has at most 40 significant bits, fewer than a
 # coverage gap of 1e-12 needs; exp(-alpha) falls below it past alpha ~ 716.7
 _LEAST_START_MASS = 2.0**-1034
+# the guide table splits [0, 1) into 2**_GUIDE_BITS buckets of equal width
+_GUIDE_BITS = 12
 
 
 def _check_seed(master_seed: int) -> None:
@@ -141,13 +145,40 @@ def _cumulative_table(d: Distribution) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=256)
+def _guide_table(d: Distribution) -> tuple[np.ndarray, np.ndarray]:
+    """(guide, ambiguous) over the buckets [j/B, (j+1)/B) of [0, 1), B = 2**_GUIDE_BITS.
+
+    guide[j] counts the table entries <= j/B. A bucket with no entry strictly
+    inside it has that count for every u in it, so guide[j] is the draw;
+    `ambiguous` marks the buckets where it is not.
+    """
+    table = _cumulative_table(d)
+    edges = np.arange((1 << _GUIDE_BITS) + 1) / (1 << _GUIDE_BITS)
+    guide = np.searchsorted(table, edges[:-1], side="right").astype(np.int64)
+    ambiguous = guide != np.searchsorted(table, edges[1:], side="left")
+    guide.setflags(write=False)
+    ambiguous.setflags(write=False)
+    return guide, ambiguous
+
+
 def draw_samples(d: Distribution, count: int, stream: SamplerStream) -> np.ndarray:
-    """Vectorized inverse-CDF draws; consumes `count` uniforms from the stream."""
+    """Vectorized inverse-CDF draws; consumes `count` uniforms from the stream.
+
+    Each draw is `np.searchsorted(table, u, side="right")` for its uniform u,
+    looked up in the guide table; only draws in ambiguous buckets search.
+    """
     if count < 0:
         raise ValueError("count must be nonnegative")
     table = _cumulative_table(d)
+    guide, ambiguous = _guide_table(d)
     u = stream.uniforms(count)
-    return np.searchsorted(table, u, side="right").astype(np.int64)
+    # scaling by a power of two is exact, so u lands in its true bucket
+    bucket = (u * (1 << _GUIDE_BITS)).astype(np.intp)
+    draws = guide[bucket]
+    fix = np.flatnonzero(ambiguous[bucket])
+    draws[fix] = np.searchsorted(table, u[fix], side="right")
+    return draws
 
 
 def sample(d: Distribution, stream: SamplerStream) -> int:
@@ -164,8 +195,9 @@ def z_score(estimate: float, standard_error: float, target: Union[Fraction, floa
     return (estimate - target) / standard_error
 
 
-def _moment_values(draws: np.ndarray, kind: MomentKind, order: int) -> np.ndarray:
-    x = draws.astype(np.float64)
+def _moment_values(support: np.ndarray, kind: MomentKind, order: int) -> np.ndarray:
+    """The chosen factorial power of each value, in float64."""
+    x = support.astype(np.float64)
     if order == 0:
         return np.ones_like(x)
     if kind is MomentKind.RAW:
@@ -193,7 +225,10 @@ def _checked_kind(kind: Union[MomentKind, str], order: int, samples: int) -> Mom
 
 
 def _reduce(draws: np.ndarray, kind: MomentKind, order: int) -> MomentEstimate:
-    estimate, standard_error = _mean_and_standard_error(_moment_values(draws, kind, order))
+    # one value per support point, gathered by the draws: the same floats as
+    # evaluating every draw
+    values = _moment_values(np.arange(draws.max() + 1), kind, order)[draws]
+    estimate, standard_error = _mean_and_standard_error(values)
     return MomentEstimate(estimate, standard_error, len(draws), kind, order)
 
 
@@ -537,7 +572,8 @@ for _kind in MomentKind:
 @_identity("poisson-pgf", "alpha", "t", mode="STATISTICAL")
 def _check_poisson_pgf(alpha, t, samples, stream):
     u = float(_pgf_argument(t))
-    values = u ** draw_samples(poisson(alpha), samples, stream).astype(np.float64)
+    draws = draw_samples(poisson(alpha), samples, stream)
+    values = (u ** np.arange(draws.max() + 1, dtype=np.float64))[draws]
     estimate, standard_error = _mean_and_standard_error(values)
     return estimate, standard_error, math.exp(float(alpha) * (u - 1.0))
 

@@ -494,6 +494,26 @@ class TestPinnedExactOutput:
         assert exit_code == code
         assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
+    # sha256 of the whole stdout of `lahbell simulate --samples 300000 --seed 3`
+    # on tables of 912-2001 entries, where 3-4 % of the draws fall in guide
+    # buckets that hold a table entry and are searched; pinned before the
+    # guide table went in
+    @pytest.mark.parametrize(
+        "argv, sha256",
+        [
+            (("binomial", "--n", "2000", "--p", "1/3", "--moment", "rising", "--order", "3"),
+             "1cffb62752ec1d832fd968c524352dbe056b362f7003c808b44d637043bd4383"),
+            (("poisson", "--alpha", "700", "--moment", "raw", "--order", "2"),
+             "d0124735204166eb3f113d3a9569d2879011060a23578a3dc1de7f18955497d6"),
+            (("dbinomial", "--n", "1500", "--p", "1/3", "--lambda", "1/7919"),
+             "9f2695d69c1acae58a8d130c894588c00db64721e0e106a9ac2f276a1273ffa9"),
+        ],
+    )
+    def test_large_table_simulate_stdout_digest(self, capsys, argv, sha256):
+        code, out, _ = run_cli(capsys, "simulate", "--dist", *argv, "--samples", "300000", "--seed", "3")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
     # sha256 over `lahbell simulate` for the four distributions x three moment
     # kinds x csv / json, plus a zero-standard-error run (n = 0) in both
     # formats: each command's argv, exit code and stdout; recorded while the

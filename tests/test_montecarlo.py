@@ -17,6 +17,7 @@ from lahbell import (
     TailError,
     UnknownIdentityError,
     VerificationReport,
+    binomial,
     draw_samples,
     estimate_moment,
     estimate_moment_partitioned,
@@ -29,7 +30,7 @@ from lahbell import (
     verify_identity,
 )
 from lahbell import montecarlo, polynomials
-from lahbell.distributions import moment
+from lahbell.distributions import _pgf_argument, moment
 from lahbell.exact_core import STIRLING1_TRIANGLE, STIRLING2_TRIANGLE
 from lahbell.polynomials import (
     RationalPolynomial,
@@ -40,7 +41,7 @@ from lahbell.polynomials import (
     lah_bell_polynomial,
     lahbell_from_bell,
 )
-from lahbell.montecarlo import _cumulative_table, z_score
+from lahbell.montecarlo import _cumulative_table, _guide_table, z_score
 from oracles import degenerate_factor_product, falling_factorial_coefficients, stirling2_explicit
 
 WITNESS = DegenerateBinomial(3, Fraction(1, 10), Fraction(2, 5))
@@ -155,6 +156,104 @@ class TestSampling:
             p = float(mass)
             se = math.sqrt(p * (1 - p) / count)
             assert abs(freq[i] - p) <= 5 * se
+
+
+class CraftedStream:
+    """Hands out the given uniforms in order, as `SamplerStream.uniforms` would."""
+
+    def __init__(self, uniforms):
+        self._uniforms, self._at = uniforms, 0
+
+    def uniforms(self, count):
+        out = self._uniforms[self._at: self._at + count]
+        self._at += count
+        return out
+
+
+class TestGuidedDraws:
+    @pytest.mark.parametrize(
+        "d",
+        [
+            binomial(2, Fraction(1, 2)),  # entries 1/4 and 3/4 sit on bucket edges
+            DegenerateBinomial(2, Fraction(1, 2), Fraction(1, 4)),
+            DegenerateBinomial(1500, Fraction(1, 3), Fraction(1, 7919)),  # 1501 entries
+            poisson(716),
+        ],
+        ids=["binomial-2", "dbinomial-2", "dbinomial-1500", "poisson-716"],
+    )
+    def test_every_draw_is_the_searchsorted_index(self, d):
+        table = _cumulative_table(d)
+        buckets = 1 << montecarlo._GUIDE_BITS
+        edges = np.arange(buckets + 1) / buckets
+        points = np.concatenate([edges, table])
+        u = np.concatenate([
+            points,
+            np.nextafter(points, 0.0),
+            np.nextafter(points, 1.0),
+            [0.0, np.nextafter(1.0, 0.0)],
+            np.random.default_rng(2024).random(100_000),
+        ])
+        u = u[u < 1.0]
+        draws = draw_samples(d, len(u), CraftedStream(u))
+        assert draws.dtype == np.int64
+        assert np.array_equal(draws, np.searchsorted(table, u, side="right"))
+
+    def test_only_buckets_holding_an_entry_inside_are_ambiguous(self):
+        d = DegenerateBinomial(1500, Fraction(1, 3), Fraction(1, 7919))
+        table = _cumulative_table(d)
+        guide, ambiguous = _guide_table(d)
+        buckets = 1 << montecarlo._GUIDE_BITS
+        assert guide.dtype == np.int64 and len(guide) == len(ambiguous) == buckets
+        inside = np.zeros(buckets, dtype=bool)
+        for entry in table[table < 1.0]:
+            if entry * buckets != math.floor(entry * buckets):
+                inside[math.floor(entry * buckets)] = True
+        assert np.array_equal(ambiguous, inside)
+        assert ambiguous.sum() > 100
+        assert _guide_table(binomial(2, Fraction(1, 2)))[1].sum() == 0
+
+
+def per_sample_moment(draws, kind, order):
+    """Mean and standard error with the factorial power taken draw by draw."""
+    x = draws.astype(np.float64)
+    if order == 0:
+        values = np.ones_like(x)
+    elif kind is MomentKind.RAW:
+        values = x**order
+    else:
+        step = -1.0 if kind is MomentKind.FALLING else 1.0
+        values = x.copy()
+        for j in range(1, order):
+            values *= x + step * j
+    return float(np.mean(values)), float(np.std(values, ddof=1)) / math.sqrt(len(values))
+
+
+class TestPerValueReduction:
+    @pytest.mark.parametrize(
+        "d",
+        [poisson(Fraction(37, 3)), binomial(50, Fraction(5, 12)), DegeneratePoisson(Fraction(3), Fraction(1, 5))],
+        ids=["poisson", "binomial", "dpoisson"],
+    )
+    def test_estimates_equal_the_per_sample_formula(self, d):
+        samples, seed = 20_001, 13
+        # the draws of workers 0..2, split as estimate_moment_partitioned splits them
+        split = [draw_samples(d, size, SamplerStream(seed, w)) for w, size in enumerate((6667, 6667, 6667))]
+        draws = draw_samples(d, samples, SamplerStream(seed, 0))
+        for kind in MomentKind:
+            for order in range(7):
+                expected = per_sample_moment(draws, kind, order)
+                est = estimate_moment(d, kind, order, samples, SamplerStream(seed, 0))
+                assert (est.estimate, est.standard_error) == expected
+                est = estimate_moment_partitioned(d, kind, order, samples, seed, 1)
+                assert (est.estimate, est.standard_error) == expected
+                est = estimate_moment_partitioned(d, kind, order, samples, seed, 3)
+                assert (est.estimate, est.standard_error) == per_sample_moment(np.concatenate(split), kind, order)
+
+    def test_poisson_pgf_equals_the_per_sample_power(self):
+        report = verify_identity("poisson-pgf", {"alpha": 5, "t": "1/3"}, samples=20_001, stream=SamplerStream(4, 2))
+        draws = draw_samples(poisson(5), 20_001, SamplerStream(4, 2))
+        u = float(_pgf_argument(Fraction(1, 3)))
+        assert report.lhs == repr(float(np.mean(u ** draws.astype(np.float64))))
 
 
 class TestEstimateMoment:
