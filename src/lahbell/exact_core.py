@@ -220,7 +220,11 @@ def stirling2(n: int, k: int) -> int:
 
 
 def degenerate_exp_eval(x: RationalLike, t: RationalLike, lam: RationalLike) -> float:
-    """(1 + lam*t) ** (x/lam) as a float; exp(x*t) in the lam = 0 limit."""
+    """(1 + lam*t) ** (x/lam) as a float; exp(x*t) in the lam = 0 limit.
+
+    The power is exp((x/lam) * log1p(lam*t)): float(1 + lam*t) would round to
+    1.0 once lam*t < 2**-53 and lose the base as lam -> 0.
+    """
     x = as_rational(x)
     t = as_rational(t)
     lam = as_rational(lam)
@@ -229,7 +233,7 @@ def degenerate_exp_eval(x: RationalLike, t: RationalLike, lam: RationalLike) -> 
     base = 1 + lam * t
     if base <= 0:
         raise DomainError(f"degenerate exponential needs 1 + lam*t > 0, got {format_rational(base)}")
-    return float(base) ** float(x / lam)
+    return math.exp(float(x / lam) * math.log1p(float(lam * t)))
 
 
 def degenerate_exp_exact(x: RationalLike, t: RationalLike, lam: RationalLike) -> Fraction:

@@ -166,17 +166,21 @@ def draw_samples(d: Distribution, count: int, stream: SamplerStream) -> np.ndarr
     """Vectorized inverse-CDF draws; consumes `count` uniforms from the stream.
 
     Each draw is `np.searchsorted(table, u, side="right")` for its uniform u,
-    looked up in the guide table; only draws in ambiguous buckets search.
+    looked up in the guide table; only draws in ambiguous buckets search. One
+    index buffer holds each uniform's bucket and then, in place, its draw.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
     table = _cumulative_table(d)
     guide, ambiguous = _guide_table(d)
     u = stream.uniforms(count)
+    draws = np.empty(count, dtype=np.intp)
     # scaling by a power of two is exact, so u lands in its true bucket
-    bucket = (u * (1 << _GUIDE_BITS)).astype(np.intp)
-    draws = guide[bucket]
-    fix = np.flatnonzero(ambiguous[bucket])
+    np.multiply(u, 1 << _GUIDE_BITS, out=draws, casting="unsafe")
+    fix = np.flatnonzero(ambiguous[draws])
+    # every bucket lies in [0, 2**_GUIDE_BITS), so "clip" never clips; it
+    # lets take write into its own index array without a copy
+    np.take(guide, draws, out=draws, mode="clip")
     draws[fix] = np.searchsorted(table, u[fix], side="right")
     return draws
 
@@ -210,8 +214,27 @@ def _moment_values(support: np.ndarray, kind: MomentKind, order: int) -> np.ndar
 
 
 def _mean_and_standard_error(values: np.ndarray) -> tuple[float, float]:
-    """Sample mean and the standard error of that mean (ddof = 1)."""
-    return float(np.mean(values)), float(np.std(values, ddof=1)) / math.sqrt(len(values))
+    """Sample mean and the standard error of that mean (ddof = 1).
+
+    Consumes `values`: they are centred and squared in place. The float
+    operations are those of `np.mean` and `np.std(ddof=1)`, one pairwise sum
+    over n for the mean and one over the squared deviations, so the results
+    are the same floats, without `np.std`'s second mean pass and copy.
+    """
+    n = len(values)
+    mean = np.add.reduce(values) / n
+    np.subtract(values, mean, out=values)
+    np.multiply(values, values, out=values)
+    return float(mean), math.sqrt(np.add.reduce(values) / (n - 1)) / math.sqrt(n)
+
+
+def _gathered_mean(draws: np.ndarray, per_value: Callable[[np.ndarray], np.ndarray]) -> tuple[float, float]:
+    """Mean and standard error of per_value(k) over the draws k.
+
+    per_value maps the support values 0..max(draws) to one float64 each; the
+    draws gather them, the same floats as evaluating every draw.
+    """
+    return _mean_and_standard_error(per_value(np.arange(draws.max() + 1)).take(draws))
 
 
 def _checked_kind(kind: Union[MomentKind, str], order: int, samples: int) -> MomentKind:
@@ -225,10 +248,7 @@ def _checked_kind(kind: Union[MomentKind, str], order: int, samples: int) -> Mom
 
 
 def _reduce(draws: np.ndarray, kind: MomentKind, order: int) -> MomentEstimate:
-    # one value per support point, gathered by the draws: the same floats as
-    # evaluating every draw
-    values = _moment_values(np.arange(draws.max() + 1), kind, order)[draws]
-    estimate, standard_error = _mean_and_standard_error(values)
+    estimate, standard_error = _gathered_mean(draws, lambda x: _moment_values(x, kind, order))
     return MomentEstimate(estimate, standard_error, len(draws), kind, order)
 
 
@@ -573,8 +593,7 @@ for _kind in MomentKind:
 def _check_poisson_pgf(alpha, t, samples, stream):
     u = float(_pgf_argument(t))
     draws = draw_samples(poisson(alpha), samples, stream)
-    values = (u ** np.arange(draws.max() + 1, dtype=np.float64))[draws]
-    estimate, standard_error = _mean_and_standard_error(values)
+    estimate, standard_error = _gathered_mean(draws, lambda k: u ** k.astype(np.float64))
     return estimate, standard_error, math.exp(float(alpha) * (u - 1.0))
 
 

@@ -415,6 +415,14 @@ class TestDegeneratePoissonPmf:
             assert poisson(alpha).pmf(i) == pytest.approx(reference(float(alpha), i), rel=1e-10), (alpha, i)
         assert poisson(745).pmf(0) == 5e-324 and poisson(800).pmf(10) == 0.0
 
+    def test_tiny_lam_is_the_classical_limit(self):
+        # float(1 + lam) rounded to 1.0, so the normalizer e_lam(1)**-1 came out
+        # 1.0: pmf(3) was 1/6 and pgf(1/2) was 1.0
+        d = DegeneratePoisson(Fraction(1), Fraction(3, 10**20))
+        assert not d.finite_support
+        assert d.pmf(3) == pytest.approx(math.exp(-1) / 6, rel=1e-14)
+        assert d.pgf(Fraction(1, 2)) == pytest.approx(math.e, rel=1e-14)
+
     def test_signed_pmf_with_a_subnormal_normalizer(self):
         # (1 + lam*alpha)**(-1/lam) underflows to 0.0 at alpha = 1000,
         # lam = 2/3001, so every mass came out 0.0 or overflowed; the reference
@@ -448,8 +456,10 @@ class TestDegeneratePoissonPmf:
     def test_pmf_across_the_underflow_edge_digest(self):
         # sha256 of float.hex of every mass on a grid around the index where the
         # mass first rounds to zero (both sides of the mode at alpha 800), taken
-        # before the log-space underflow bound went in; each zero carries the
-        # sign of (1)_{i,lam}, whose factors 1 - j*lam are negative for j > 1/lam
+        # before the log-space underflow bound went in and retaken when the
+        # normalizer moved to log1p (3 of the 374 masses moved, each closer to
+        # a 60-digit reference); each zero carries the sign of (1)_{i,lam},
+        # whose factors 1 - j*lam are negative for j > 1/lam
         grid = (
             (Fraction(1, 2), Fraction(0), (157,)),
             (Fraction(1, 2), Fraction(2, 5), (450,)),
@@ -474,7 +484,7 @@ class TestDegeneratePoissonPmf:
                     parts.append(mass.hex())
         assert len(parts) == 374
         digest = hashlib.sha256("\n".join(parts).encode()).hexdigest()
-        assert digest == "11de41e6b30e32480bc6b5a5cd36c9d8260e449177edff7e753513ed79348695"
+        assert digest == "486d78896f2b14c4160d7ed3c78974759dd5a6091a6484c428a832dd6bce1003"
 
     def test_float_boundary_digest(self):
         # sha256 of the classical pmf, mass stream and pgf reprs plus four exact

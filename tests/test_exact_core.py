@@ -208,6 +208,14 @@ class TestDegenerateExponential:
         value = degenerate_exp_eval(1, 1, Fraction(1, 10**6))
         assert abs(value - math.e) < 1e-4
 
+    def test_tiny_lam_keeps_the_base(self):
+        # float(1 + lam*t) rounds to 1.0 once lam*t < 2**-53, so the power was
+        # 1.0 here; (1 + lam*t)**(x/lam) differs from exp(x*t) by about lam
+        lam = Fraction(3, 10**20)
+        for x, t in ((1, Fraction(1, 2)), (-1, 1), (Fraction(7, 3), Fraction(-5, 4))):
+            expected = math.exp(float(x * t))
+            assert degenerate_exp_eval(x, t, lam) == pytest.approx(expected, rel=1e-15), (x, t)
+
     def test_lam_zero_is_exp(self):
         assert degenerate_exp_eval(2, Fraction(1, 2), 0) == pytest.approx(math.e, rel=1e-12)
 

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -41,7 +42,7 @@ from lahbell.polynomials import (
     lah_bell_polynomial,
     lahbell_from_bell,
 )
-from lahbell.montecarlo import _cumulative_table, _guide_table, z_score
+from lahbell.montecarlo import _cumulative_table, _guide_table, _mean_and_standard_error, z_score
 from oracles import degenerate_factor_product, falling_factorial_coefficients, stirling2_explicit
 
 WITNESS = DegenerateBinomial(3, Fraction(1, 10), Fraction(2, 5))
@@ -254,6 +255,61 @@ class TestPerValueReduction:
         draws = draw_samples(poisson(5), 20_001, SamplerStream(4, 2))
         u = float(_pgf_argument(Fraction(1, 3)))
         assert report.lhs == repr(float(np.mean(u ** draws.astype(np.float64))))
+
+
+def reduction_input(n, seed, shape, scale, head):
+    """n float64 values of the given shape, the first ones replaced by `head`."""
+    rng = np.random.default_rng(seed)
+    if shape == "constant":
+        values = np.full(n, scale * rng.random())
+    elif shape == "falling-powers":
+        # falling factorial powers of small draws; at 0 they include -0.0
+        x = rng.integers(0, 6, n).astype(np.float64)
+        values = x * (x - 1.0) * (x - 2.0) * scale
+    else:
+        values = (rng.random(n) - 0.5) * scale
+    head = head[:n]
+    values[: len(head)] = head
+    return values
+
+
+def assert_reduction_is_mean_and_std(values):
+    """`_mean_and_standard_error` gives np.mean's and np.std(ddof=1)'s floats, bit for bit."""
+    expected = (float(np.mean(values)), float(np.std(values, ddof=1)) / math.sqrt(len(values)))
+    got = _mean_and_standard_error(values.copy())
+    assert tuple(map(float.hex, got)) == tuple(map(float.hex, expected))
+
+
+class TestInPlaceReduction:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.sampled_from([2, 3, 8, 9, 128, 129, 8192, 8193, 10**5 + 1]),
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.sampled_from(["uniform", "constant", "falling-powers"]),
+        scale=st.sampled_from([1.0, 3.0, 1e-300, 1e100, 1e150]),
+        head=st.lists(st.floats(-1e150, 1e150), max_size=12),
+    )
+    def test_bit_identical_to_mean_and_std(self, n, seed, shape, scale, head):
+        assert_reduction_is_mean_and_std(reduction_input(n, seed, shape, scale, head))
+
+    def test_negative_zeros_and_equal_values(self):
+        for values in ([-0.0, -0.0], [-0.0, 0.0, -0.0], [7.5] * 129, [-1e150] * 8193):
+            assert_reduction_is_mean_and_std(np.array(values))
+
+    def test_peak_memory_per_draw(self):
+        # full-size arrays alive at once: the uniforms, the draws and the
+        # 1-byte ambiguity mask while drawing (17 bytes a draw), then the
+        # draws and the gathered values (16)
+        samples = 500_000
+        d = poisson(12)
+        estimate_moment(d, "rising", 3, samples, SamplerStream(1))
+        tracemalloc.start()
+        try:
+            estimate_moment(d, "rising", 3, samples, SamplerStream(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / samples <= 20
 
 
 class TestEstimateMoment:
