@@ -245,11 +245,14 @@ class DegeneratePoisson:
             a, b = self.alpha.numerator, self.alpha.denominator
             return Fraction(math.comb(m, i) * a**i * (m * b) ** (m - i), (m * b + a) ** m)
         normalizer = degenerate_exp_eval(-1, self.alpha, self.lam)
-        # log e_lam(alpha)**-1 is -alpha at lam = 0 and -log(1 + lam*alpha)/lam otherwise
-        if self.lam:
+        # log e_lam(alpha)**-1 is -log(1 + lam*alpha)/lam; a subnormal float(lam)
+        # keeps too few bits to divide by, so there (and at lam = 0) it is
+        # -alpha * log1p(z)/z with z = lam*alpha, the ratio 1 where z rounds to 0
+        if abs(float(self.lam)) >= sys.float_info.min:
             log_normalizer = -math.log1p(float(self.lam * self.alpha)) / float(self.lam)
         else:
-            log_normalizer = -float(self.alpha)
+            z = float(self.lam * self.alpha)
+            log_normalizer = -float(self.alpha) * (math.log1p(z) / z if z else 1.0)
         # the factors 1 - j*lam of (1)_{i,lam} are negative exactly for j > 1/lam
         negative_factors = max(i - 1 - self.lam.denominator // self.lam.numerator, 0) if self.lam else 0
         sign = -1.0 if negative_factors % 2 else 1.0
@@ -376,7 +379,13 @@ def _log_abs_mass_bound(alpha: Fraction, lam: Fraction, i: int, log_normalizer: 
         c, e = lam.numerator, lam.denominator
         q, r = divmod(e, c)
         head = min(i, q + 1)
-        terms += [i * (math.log(c) - math.log(e)), math.lgamma(q + 1 + r / c), -math.lgamma(q + 1 - head + r / c)]
+        try:
+            terms += [i * (math.log(c) - math.log(e)), math.lgamma(q + 1 + r / c), -math.lgamma(q + 1 - head + r / c)]
+        except OverflowError:
+            # 1/lam or its lgamma has no float (lam below about 4e-306), so
+            # i <= q + 1 and every factor 1 - j*lam lies in (0, 1]: their log
+            # is at most 0, so the bound holds without it
+            pass
         if i > q + 1:
             terms += [math.lgamma(i - q - 1 + (c - r) / c), -math.lgamma((c - r) / c)]
     return math.fsum(terms) + 1e-12 * sum(map(abs, terms))

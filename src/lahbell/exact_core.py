@@ -223,7 +223,9 @@ def degenerate_exp_eval(x: RationalLike, t: RationalLike, lam: RationalLike) -> 
     """(1 + lam*t) ** (x/lam) as a float; exp(x*t) in the lam = 0 limit.
 
     The power is exp((x/lam) * log1p(lam*t)): float(1 + lam*t) would round to
-    1.0 once lam*t < 2**-53 and lose the base as lam -> 0.
+    1.0 once lam*t < 2**-53 and lose the base as lam -> 0. Where x/lam has no
+    float, the same exponent is taken as x*t * log1p(z)/z with z = lam*t, and
+    the ratio as 1 where z rounds to 0: the lam -> 0 limit to float precision.
     """
     x = as_rational(x)
     t = as_rational(t)
@@ -233,7 +235,12 @@ def degenerate_exp_eval(x: RationalLike, t: RationalLike, lam: RationalLike) -> 
     base = 1 + lam * t
     if base <= 0:
         raise DomainError(f"degenerate exponential needs 1 + lam*t > 0, got {format_rational(base)}")
-    return math.exp(float(x / lam) * math.log1p(float(lam * t)))
+    z = float(lam * t)
+    try:
+        exponent = float(x / lam)
+    except OverflowError:
+        return math.exp(float(x * t) * (math.log1p(z) / z if z else 1.0))
+    return math.exp(exponent * math.log1p(z))
 
 
 def degenerate_exp_exact(x: RationalLike, t: RationalLike, lam: RationalLike) -> Fraction:

@@ -19,7 +19,7 @@ import json
 import math
 import operator
 import random
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Mapping, Optional, Union
@@ -49,11 +49,11 @@ from .exact_core import (
     lah_number_closed_form,
 )
 from .polynomials import (
+    _lah_bell_series_numerators,
     degenerate_lah_bell_polynomial,
     degenerate_lah_bell_polynomial_via_bell,
     evaluate_degenerate,
     family_numerators,
-    lah_bell_series_coefficients,
     signed_transform,
     substitution_ratio,
 )
@@ -312,12 +312,28 @@ class VerificationReport:
 
     def to_dict(self) -> dict:
         """Fields in declaration order, `params` copied; `seed` and `samples` only when set."""
-        data = {field.name: getattr(self, field.name) for field in fields(self)}
-        data["params"] = dict(self.params)
-        return {key: value for key, value in data.items() if value is not None}
+        data = {
+            "identity": self.identity,
+            "params": dict(self.params),
+            "mode": self.mode,
+            "lhs": self.lhs,
+            "rhs": self.rhs,
+            "discrepancy": self.discrepancy,
+            "status": self.status,
+        }
+        if self.seed is not None:
+            data["seed"] = self.seed
+        if self.samples is not None:
+            data["samples"] = self.samples
+        return data
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), separators=(",", ":"))
+        return _COMPACT_JSON.encode(self.to_dict())
+
+
+# the encoder `json.dumps(..., separators=(",", ":"))` builds on every call;
+# it holds no state between calls
+_COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
 
 
 def _serialize_params(params: Mapping[str, object]) -> dict[str, str]:
@@ -327,12 +343,14 @@ def _serialize_params(params: Mapping[str, object]) -> dict[str, str]:
 
 def _exact_report(identity: str, params: Mapping[str, object], lhs: Fraction | int, rhs: Fraction | int) -> VerificationReport:
     equal = lhs == rhs
+    lhs_text = format_rational(lhs)
     return VerificationReport(
         identity=identity,
         params=_serialize_params(params),
         mode="EXACT",
-        lhs=format_rational(lhs),
-        rhs=format_rational(rhs),
+        lhs=lhs_text,
+        # equal rationals have the same canonical text
+        rhs=lhs_text if equal else format_rational(rhs),
         discrepancy="0" if equal else repr(float(abs(lhs - rhs))),
         status="PASS" if equal else "FAIL",
     )
@@ -496,9 +514,9 @@ def _check_lah_closed_form(n_max):
 @_identity("lahbell-series", "x", "n_max")
 def _check_lahbell_series(x, n_max):
     lah, denominator = family_numerators(LAH_TRIANGLE, n_max, 0, x.numerator, x.denominator)
-    # the oracle's denominators are powers of x.denominator, so they divide D
-    series = [v.numerator * (denominator // v.denominator) for v in lah_bell_series_coefficients(x, n_max)]
-    return _worst_gap(series, lah, denominator), 0
+    series, scale = _lah_bell_series_numerators(x, n_max)
+    # at lam = 0 the oracle's scale is x.denominator, so scale**n divides D
+    return _worst_gap([v * (denominator // scale**n) for n, v in enumerate(series)], lah, denominator), 0
 
 
 @_identity("lah-basis-transform", "alpha", "n_max")

@@ -65,7 +65,7 @@ class RationalPolynomial:
                  variable: str = "y") -> "RationalPolynomial":
         """sum_l row[l] (1)_{l,lam} / denominator * variable**l, without building a Fraction."""
         poly = cls.__new__(cls)
-        poly._set(tuple(row), as_rational(lam), denominator, variable)
+        poly._set(row if type(row) is tuple else tuple(row), as_rational(lam), denominator, variable)
         return poly
 
     def _set(self, row: tuple[int, ...], lam: Fraction, denominator: int, variable: str) -> None:
@@ -75,22 +75,26 @@ class RationalPolynomial:
             raise ValueError("denominator must be positive")
         if lam.numerator == 1:
             row = row[: lam.denominator + 1]  # (1)_{l,1/e} = 0 for l > e
-        size = len(row)
-        while size > 1 and row[size - 1] == 0:
-            size -= 1
-        row = row[:size] or (0,)
+        if not row or row[-1] == 0:
+            size = len(row)
+            while size > 1 and row[size - 1] == 0:
+                size -= 1
+            row = row[:size] or (0,)
         if denominator != 1:
             divisor = math.gcd(*row, denominator)
             if divisor != 1:
                 row = tuple(r // divisor for r in row)
                 denominator //= divisor
-        for name, value in zip(self.__slots__, (row, lam, denominator, variable)):
-            object.__setattr__(self, name, value)
+        _set_row(self, row)
+        _set_lam(self, lam)
+        _set_denominator(self, denominator)
+        _set_variable(self, variable)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalPolynomial is immutable")
 
-    __delattr__ = __setattr__
+    def __delattr__(self, name):
+        raise AttributeError("RationalPolynomial is immutable")
 
     def __reduce__(self):
         return RationalPolynomial.from_row, (self.row, self.lam, self.denominator, self.variable)
@@ -128,7 +132,7 @@ class RationalPolynomial:
             return NotImplemented
         if self.variable != other.variable:
             return False
-        if self.lam == other.lam:
+        if self.lam is other.lam or self.lam == other.lam:
             return self.denominator == other.denominator and self.row == other.row
         return self.coefficients == other.coefficients
 
@@ -137,6 +141,13 @@ class RationalPolynomial:
 
     def __repr__(self) -> str:
         return f"RationalPolynomial(coefficients={self.coefficients!r}, variable={self.variable!r})"
+
+
+# the slots' member-descriptor setters: `_set` writes each slot once through
+# them, past the refusing __setattr__
+_set_row, _set_lam, _set_denominator, _set_variable = (
+    getattr(RationalPolynomial, name).__set__ for name in RationalPolynomial.__slots__
+)
 
 
 def monomial(n: int, variable: str = "x") -> RationalPolynomial:
@@ -246,13 +257,23 @@ def family_numerators(triangle: TriangleCache, n_max: int, lam: RationalLike,
     `substitution_ratio` pair of a degenerate family. With (1)_{l,lam} = A_l / B**l
     and s = q*B, D = s**n_max and the weights W_l = A_l p**l s**(n_max-l) are
     built once, so each order is one integer dot product with its triangle row.
+    The weights take their powers of s and p from two running products, one
+    down from l = n_max and one up from l = 0, not from a `pow` per entry.
     """
     if q < 0:
         p, q = -p, -q
     prefixes, base = degenerate_factor_numerators(1, n_max, lam)
     scale = q * base
-    weights = [a * p**l * scale ** (n_max - l) for l, a in enumerate(prefixes)]
-    return [sum(map(mul, triangle.row(n), weights)) for n in range(n_max + 1)], scale**n_max
+    weights, power = [prefixes[n_max]], 1
+    for l in range(n_max - 1, -1, -1):
+        power *= scale
+        weights.append(prefixes[l] * power)
+    weights.reverse()
+    denominator, power = power, 1
+    for l in range(1, n_max + 1):
+        power *= p
+        weights[l] *= power
+    return [sum(map(mul, triangle.row(n), weights)) for n in range(n_max + 1)], denominator
 
 
 def signed_transform(triangle: TriangleCache, numerators: Sequence[int], rows: range) -> list[int]:
@@ -297,10 +318,21 @@ def lah_bell_series_coefficients(x: RationalLike, order: int, lam: RationalLike 
     and y = x/(1 + lam*x); F = exp(x*(1/(1-t) - 1)) at lam = 0, the plain
     Lah-Bell values. F is the degenerate Poisson pgf E[(1-t)**-X] at
     alpha = x, so the values are its rising factorial moments for every lam,
-    infinite support included. F' (1 + lam*h) = h' F gives
+    infinite support included. No triangle is read, so this is an independent
+    oracle for the triangle-based constructions.
+    """
+    scaled, scale = _lah_bell_series_numerators(x, order, lam)
+    return [Fraction(v, scale**n) for n, v in enumerate(scaled)]
+
+
+def _lah_bell_series_numerators(x: RationalLike, order: int, lam: RationalLike = 0) -> tuple[list[int], int]:
+    """Integers [C_0, ..., C_order] and s > 0 with c_n = C_n / s**n, the
+    unreduced values of `lah_bell_series_coefficients`.
+
+    F' (1 + lam*h) = h' F gives
     c_n = y sum_{k=1..n} (n-1)!/(n-k)! (k - lam*(n-k)) c_{n-k} for c_n = n! [t**n] F,
-    run in integers scaled by (q*e)**n at y = p/q, lam = c/e. No triangle is
-    read, so this is an independent oracle for the triangle-based constructions.
+    run in integers scaled by s**n, s = q*e, at y = p/q in lowest terms and
+    lam = c/e. At lam = 0, s is the denominator of x. Reads no triangle.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -316,4 +348,4 @@ def lah_bell_series_coefficients(x: RationalLike, order: int, lam: RationalLike 
             acc += weight * (k * e - c * (n - k)) * scaled[n - k]
             weight *= (n - k) * scale
         scaled.append(acc)
-    return [Fraction(v, scale**n) for n, v in enumerate(scaled)]
+    return scaled, scale

@@ -409,9 +409,10 @@ class TestPinnedExactOutput:
         digest = hashlib.sha256("".join(line + "\n" for line in exact).encode()).hexdigest()
         assert digest == self.VERIFY_ALL_EXACT_SHA256
 
-    # sha256 of the whole stdout of two deeper runs. The lahbell suite is all
-    # EXACT lines up to n = 30; the dpoisson suite also holds the statistical
-    # lines, whose floats come from numpy's PCG64 stream for the seed.
+    # sha256 of the whole stdout of deeper runs. The lahbell suite is all
+    # EXACT lines; the dpoisson and all suites also hold the statistical
+    # lines, whose floats come from numpy's PCG64 stream for the seed. The
+    # csv runs pin `_report_csv_line`, which reads `VerificationReport.to_dict`.
     @pytest.mark.parametrize(
         "argv, sha256",
         [
@@ -419,6 +420,10 @@ class TestPinnedExactOutput:
              "2cac86d32b68ac951cada0b46b98f2d91da7712a805d4906cb023030b8613cfa"),
             (("dpoisson", "--seed", "2"),
              "b2eea36acc42bbfe7d782aad2aec1b4d999e27e1f42da0e498eedb3f60f470b7"),
+            (("all", "--format", "csv", "--seed", "0"),
+             "e3d1dba682a06523dc1fa8be43313f91142802d1094c49752e346697ba798957"),
+            (("lahbell", "--n-max", "18", "--seed", "7", "--format", "csv"),
+             "b5e25cbd25d2706530a34f9353e25fc13f0bf6da56971e74053247f837557a24"),
         ],
     )
     def test_verify_stdout_digest(self, capsys, argv, sha256):

@@ -423,6 +423,23 @@ class TestDegeneratePoissonPmf:
         assert d.pmf(3) == pytest.approx(math.exp(-1) / 6, rel=1e-14)
         assert d.pgf(Fraction(1, 2)) == pytest.approx(math.e, rel=1e-14)
 
+    def test_lam_past_the_float_range_is_the_classical_limit(self):
+        # 1/lam has no float, and float(x/lam) raised a bare OverflowError
+        d = DegeneratePoisson(Fraction(1), Fraction(3, 10**320))
+        assert d.pmf(3) == pytest.approx(math.exp(-1) / 6, rel=1e-15)
+        assert d.pgf(Fraction(1, 2)) == pytest.approx(math.e, rel=1e-15)
+
+    def test_subnormal_lam_on_the_log_path(self):
+        # exp(-800) underflows, so pmf adds the log normalizer; dividing by the
+        # subnormal float(lam) (61 ulps) made it about -796.3, not -800, and
+        # pmf(800) came out near 0.57. The tolerance is the log path's: the
+        # ratio's integer logs are about 6e5, so 1e-10 relative is their rounding
+        reference = math.exp(800 * math.log(800) - math.lgamma(801) - 800)
+        assert DegeneratePoisson(Fraction(800), Fraction(3, 10**322)).pmf(800) == pytest.approx(reference, rel=1e-9)
+        # lgamma(1/lam) overflowed in the zero bound at this normal lam
+        d = DegeneratePoisson(Fraction(7, 2), Fraction(3, 10**307))
+        assert d.pmf(4) == pytest.approx(math.exp(4 * math.log(3.5) - 3.5) / 24, rel=1e-15)
+
     def test_signed_pmf_with_a_subnormal_normalizer(self):
         # (1 + lam*alpha)**(-1/lam) underflows to 0.0 at alpha = 1000,
         # lam = 2/3001, so every mass came out 0.0 or overflowed; the reference

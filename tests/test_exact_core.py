@@ -216,6 +216,14 @@ class TestDegenerateExponential:
             expected = math.exp(float(x * t))
             assert degenerate_exp_eval(x, t, lam) == pytest.approx(expected, rel=1e-15), (x, t)
 
+    def test_exponent_past_the_float_range_is_the_limit(self):
+        # float(x/lam) raised a bare OverflowError here; at this lam the value
+        # is exp(x*t) to within about lam relative
+        for lam in (Fraction(3, 10**320), Fraction(-3, 10**320), Fraction(1, 10**400)):
+            assert degenerate_exp_eval(-1, 1, lam) == pytest.approx(math.exp(-1), rel=1e-15), lam
+            assert degenerate_exp_eval(1, Fraction(1, 2), lam) == pytest.approx(math.exp(0.5), rel=1e-15), lam
+        assert degenerate_exp_eval(0, 1, Fraction(3, 10**320)) == 1.0
+
     def test_lam_zero_is_exp(self):
         assert degenerate_exp_eval(2, Fraction(1, 2), 0) == pytest.approx(math.e, rel=1e-12)
 

@@ -32,7 +32,7 @@ from lahbell import (
 )
 from lahbell import montecarlo, polynomials
 from lahbell.distributions import _pgf_argument, moment
-from lahbell.exact_core import STIRLING1_TRIANGLE, STIRLING2_TRIANGLE
+from lahbell.exact_core import LAH_TRIANGLE, STIRLING1_TRIANGLE, STIRLING2_TRIANGLE
 from lahbell.polynomials import (
     RationalPolynomial,
     bell_polynomial,
@@ -40,6 +40,7 @@ from lahbell.polynomials import (
     degenerate_lah_bell_polynomial_via_bell,
     evaluate_degenerate,
     lah_bell_polynomial,
+    lah_bell_series_coefficients,
     lahbell_from_bell,
 )
 from lahbell.montecarlo import _cumulative_table, _guide_table, _mean_and_standard_error, z_score
@@ -631,6 +632,22 @@ class TestVerifyIdentity:
         )
         assert worst != 0
         report = verify_identity("stirling-inversion", {"n_max": n_max})
+        assert report.status == "FAIL"
+        assert (report.lhs, report.rhs) == (format_rational(worst), "0")
+        assert report.discrepancy == repr(float(worst))
+
+    def test_lahbell_series_reports_the_worst_gap(self, monkeypatch):
+        # L(5, 2) off by 11: the triangle side of order 5 stops matching the
+        # power-series oracle, which reads no triangle
+        x, n_max = Fraction(-1, 3), 7
+        bad = CorruptedTriangle(LAH_TRIANGLE, 5, 2, 11)
+        monkeypatch.setattr(montecarlo, "LAH_TRIANGLE", bad)
+        series = lah_bell_series_coefficients(x, n_max)
+        worst = max(
+            abs(series[n] - sum(entry * x**k for k, entry in enumerate(bad.row(n)))) for n in range(n_max + 1)
+        )
+        assert worst == Fraction(11, 9)
+        report = verify_identity("lahbell-series", {"x": x, "n_max": n_max})
         assert report.status == "FAIL"
         assert (report.lhs, report.rhs) == (format_rational(worst), "0")
         assert report.discrepancy == repr(float(worst))

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import copy
 import functools
+import hashlib
 import pickle
 
 import pytest
@@ -29,7 +30,7 @@ from lahbell import (
     y_substitution,
 )
 from lahbell import polynomials
-from lahbell.exact_core import LAH_TRIANGLE, STIRLING2_TRIANGLE
+from lahbell.exact_core import LAH_TRIANGLE, STIRLING2_TRIANGLE, as_rational
 from lahbell.polynomials import family_numerators, substitution_ratio
 from oracles import (
     count_list_partitions,
@@ -157,6 +158,44 @@ class TestRowRepresentation:
         assert RationalPolynomial((Fraction(1, 2), 1)) != RationalPolynomial((1, 2))  # same row (1, 2)
         with pytest.raises(ValueError):
             RationalPolynomial.from_row((1,), 0, 0)
+        with pytest.raises(ValueError):
+            RationalPolynomial.from_row((1,), 0, -3)
+        with pytest.raises(ValueError):
+            RationalPolynomial.from_row((1,), 0, variable="z")
+        # (row, lam, denominator) -> (canonical row, canonical denominator)
+        cases = [
+            ((), 0, 1, (0,), 1),  # the empty row is the zero polynomial
+            ([], Fraction(1, 3), 7, (0,), 1),
+            ((0, 0, 0), 0, 6, (0,), 1),
+            ((3, 0, 5, 0, 0), 0, 1, (3, 0, 5), 1),  # trailing zeros go, inner ones stay
+            ([0, 0, 1], 0, 1, (0, 0, 1), 1),
+            ((6, 9, 3), 0, 12, (2, 3, 1), 4),  # row and denominator reduced together
+            ((6, 9, 3, 0), "0", 12, (2, 3, 1), 4),
+            ((-6, 9, 0), -5, 15, (-2, 3), 5),
+            ((1, 2, 3, 4, 5), Fraction(1, 2), 1, (1, 2, 3), 1),  # (1)_{l,1/2} = 0 for l > 2
+            ((1, 2, 3, 4, 5), "2/4", 1, (1, 2, 3), 1),
+            ((1, 0, 0, 7), "1/2", 1, (1,), 1),  # the cut leaves trailing zeros
+            ((4, 6, 9), 1, 2, (2, 3), 1),  # the gcd is taken after the cut
+            ((1, 2, 3, 4, 5), Fraction(-1, 2), 1, (1, 2, 3, 4, 5), 1),  # no cut
+            ((1, 2, 3, 4, 5), Fraction(2, 3), 1, (1, 2, 3, 4, 5), 1),
+        ]
+        for row, lam, denominator, expected_row, expected_denominator in cases:
+            poly = RationalPolynomial.from_row(row, lam, denominator)
+            assert type(poly.row) is tuple and type(poly.lam) is Fraction
+            assert (poly.row, poly.lam, poly.denominator, poly.variable) == (
+                expected_row, as_rational(lam), expected_denominator, "y"), (row, lam, denominator)
+            assert poly == RationalPolynomial.from_row(tuple(row), Fraction(lam), denominator)
+            assert poly == RationalPolynomial.from_row(list(row), str(Fraction(lam)), denominator)
+        # a list row is copied, and no slot can be set or deleted
+        row = [1, 2, 3]
+        poly = RationalPolynomial.from_row(row, 0)
+        row[0] = 99
+        assert poly.row == (1, 2, 3)
+        for name in ("row", "lam", "denominator", "variable"):
+            with pytest.raises(AttributeError):
+                setattr(poly, name, getattr(poly, name))
+            with pytest.raises(AttributeError):
+                delattr(poly, name)
 
     def test_immutable(self):
         poly = lah_bell_polynomial(3)
@@ -429,3 +468,25 @@ class TestSeriesOracle:
     def test_degenerate_substitution_pole(self):
         with pytest.raises(EvaluationError):
             lah_bell_series_coefficients(-2, 3, Fraction(1, 2))
+
+    # sha256 over "x lam: c_0 ... c_15" for every (x, lam) of the grid, a pole
+    # written as "pole". The grid holds negative unreduced substitution
+    # denominators: q*e + c*p < 0 at x = -3, lam = 1/2 (y = 6) and wherever
+    # lam*x < -1.
+    SERIES_SHA256 = "be9298c82a81256c025b3c8002dbbc1faea4b256d891373c9c87359ffffb1c2b"
+
+    def test_series_values_digest(self):
+        xs = (Fraction(0), Fraction(1), Fraction(2), Fraction(1, 2), Fraction(-1, 3), Fraction(-3),
+              Fraction(5, 7), Fraction(-7, 4), Fraction(12))
+        lams = (Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), Fraction(-2, 3), Fraction(3, 7),
+                Fraction(1, 10), Fraction(-1), Fraction(7, 3), Fraction(-5, 11))
+        lines = []
+        for x in xs:
+            for lam in lams:
+                try:
+                    values = " ".join(map(str, lah_bell_series_coefficients(x, 15, lam)))
+                except EvaluationError:
+                    values = "pole"
+                lines.append(f"{x} {lam}: {values}")
+        assert "-3 1/2: 1 6 " in "\n".join(lines) and "-3 1/3: pole" in lines
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == self.SERIES_SHA256
