@@ -7,6 +7,11 @@ by (master_seed, stream_index) through a splittable seed sequence, so
 identical keys reproduce identical draws and distinct indices give
 independent substreams.
 
+The moment reduction is exact: every draw is an integer k and every value
+averaged (k**r, (k)_r, k^(r), or u**k for a rational u) is an exact rational,
+so the sample mean and its standard error are exact sums over the draw
+counts, each rounded once to a float.
+
 `verify_identity` runs one named identity check and returns a structured
 report: exact checks demand literal rational equality, statistical checks run
 a z-test of a sample estimate against a closed-form target.
@@ -199,42 +204,57 @@ def z_score(estimate: float, standard_error: float, target: Union[Fraction, floa
     return (estimate - target) / standard_error
 
 
-def _moment_values(support: np.ndarray, kind: MomentKind, order: int) -> np.ndarray:
-    """The chosen factorial power of each value, in float64."""
-    x = support.astype(np.float64)
-    if order == 0:
-        return np.ones_like(x)
+def _sqrt_ratio(num: int, den: int) -> float:
+    """sqrt(num / den) for integers num >= 0 and den > 0, rounded once.
+
+    The ratio is scaled by 4**-shift so that its integer square root r is at
+    least 2**55: a double's 53 bits, a rounding bit and a sticky bit. The
+    sticky bit is r's lowest, set when the root is inexact (round to odd),
+    and the int division that makes the float is correctly rounded,
+    subnormals included. OverflowError past the float range.
+    """
+    # num / den >= 2**(bit-length difference - 1), so the scaled ratio is >= 2**111
+    shift = (num.bit_length() - den.bit_length()) // 2 - 56
+    if shift >= 0:
+        den <<= 2 * shift
+    else:
+        num <<= -2 * shift
+    root = math.isqrt(num // den)
+    root |= root * root * den != num
+    return float(root << shift) if shift >= 0 else root / (1 << -shift)
+
+
+def _draw_counts(draws: np.ndarray) -> list[int]:
+    """counts[k] = the number of draws equal to k, for k = 0..max(draws)."""
+    return np.bincount(draws).tolist()
+
+
+def _exact_mean_and_error(counts: list[int], numerators: list[int], scale: int = 1) -> tuple[float, float]:
+    """Sample mean and the standard error of that mean (ddof = 1) of the
+    values v_k / scale, v_k = numerators[k], value k drawn c_k = counts[k] times.
+
+    With n = sum c_k and the integer sums s1 = sum c_k v_k, s2 = sum c_k v_k**2,
+    the mean is s1 / (n scale) and the error sqrt((n s2 - s1**2) / (n**2 (n - 1)
+    scale**2)), each an exact rational rounded once; DomainError when one is
+    past the float range.
+    """
+    n = sum(counts)
+    weighted = list(map(operator.mul, counts, numerators))
+    s1 = sum(weighted)
+    s2 = sum(map(operator.mul, weighted, numerators))
+    try:
+        return s1 / (n * scale), _sqrt_ratio(n * s2 - s1 * s1, n * n * (n - 1) * scale * scale)
+    except OverflowError:
+        raise DomainError("sample mean or its standard error is outside the float range") from None
+
+
+def _factorial_powers(kind: MomentKind, order: int, top: int) -> list[int]:
+    """The chosen factorial power of each k = 0..top, exact."""
     if kind is MomentKind.RAW:
-        return x**order
-    step = -1.0 if kind is MomentKind.FALLING else 1.0
-    out = x.copy()
-    for j in range(1, order):
-        out *= x + step * j
-    return out
-
-
-def _mean_and_standard_error(values: np.ndarray) -> tuple[float, float]:
-    """Sample mean and the standard error of that mean (ddof = 1).
-
-    Consumes `values`: they are centred and squared in place. The float
-    operations are those of `np.mean` and `np.std(ddof=1)`, one pairwise sum
-    over n for the mean and one over the squared deviations, so the results
-    are the same floats, without `np.std`'s second mean pass and copy.
-    """
-    n = len(values)
-    mean = np.add.reduce(values) / n
-    np.subtract(values, mean, out=values)
-    np.multiply(values, values, out=values)
-    return float(mean), math.sqrt(np.add.reduce(values) / (n - 1)) / math.sqrt(n)
-
-
-def _gathered_mean(draws: np.ndarray, per_value: Callable[[np.ndarray], np.ndarray]) -> tuple[float, float]:
-    """Mean and standard error of per_value(k) over the draws k.
-
-    per_value maps the support values 0..max(draws) to one float64 each; the
-    draws gather them, the same floats as evaluating every draw.
-    """
-    return _mean_and_standard_error(per_value(np.arange(draws.max() + 1)).take(draws))
+        return [k**order for k in range(top + 1)]
+    # (k)_r = perm(k, r) and k^(r) = (k + r - 1)_r; both are 1 at r = 0
+    shift = max(order - 1, 0) if kind is MomentKind.RISING else 0
+    return [math.perm(k + shift, order) for k in range(top + 1)]
 
 
 def _checked_kind(kind: Union[MomentKind, str], order: int, samples: int) -> MomentKind:
@@ -247,9 +267,9 @@ def _checked_kind(kind: Union[MomentKind, str], order: int, samples: int) -> Mom
     return kind
 
 
-def _reduce(draws: np.ndarray, kind: MomentKind, order: int) -> MomentEstimate:
-    estimate, standard_error = _gathered_mean(draws, lambda x: _moment_values(x, kind, order))
-    return MomentEstimate(estimate, standard_error, len(draws), kind, order)
+def _reduce(counts: list[int], kind: MomentKind, order: int) -> MomentEstimate:
+    estimate, standard_error = _exact_mean_and_error(counts, _factorial_powers(kind, order, len(counts) - 1))
+    return MomentEstimate(estimate, standard_error, sum(counts), kind, order)
 
 
 def estimate_moment(
@@ -261,7 +281,7 @@ def estimate_moment(
 ) -> MomentEstimate:
     """Sample mean and standard error of the chosen factorial power."""
     kind = _checked_kind(kind, order, samples)
-    return _reduce(draw_samples(d, samples, stream), kind, order)
+    return _reduce(_draw_counts(draw_samples(d, samples, stream)), kind, order)
 
 
 def estimate_moment_partitioned(
@@ -274,21 +294,22 @@ def estimate_moment_partitioned(
 ) -> MomentEstimate:
     """Split the draws across worker substreams (stream_index = worker id).
 
-    The worker draws are joined in ascending worker order and reduced as
-    `estimate_moment` reduces its single stream, so the estimate depends only
-    on the master seed and the worker count, and one worker gives exactly
-    `estimate_moment`'s result on stream 0. Workers past the sample count
-    would draw nothing, so the loop stops at min(workers, samples).
+    The workers' draw counts are added and reduced as `estimate_moment`
+    reduces its single stream. The sums are exact, so the estimate depends
+    only on the master seed and the worker count, in any worker order, and
+    one worker gives exactly `estimate_moment`'s result on stream 0. Workers
+    past the sample count would draw nothing, so the loop stops at
+    min(workers, samples).
     """
     kind = _checked_kind(kind, order, samples)
     if workers < 1:
         raise ValueError("workers must be positive")
     base, remainder = divmod(samples, workers)
     chunks = [
-        draw_samples(d, base + (worker < remainder), SamplerStream(master_seed, worker))
+        _draw_counts(draw_samples(d, base + (worker < remainder), SamplerStream(master_seed, worker)))
         for worker in range(min(workers, samples))
     ]
-    return _reduce(np.concatenate(chunks) if len(chunks) > 1 else chunks[0], kind, order)
+    return _reduce([sum(column) for column in itertools.zip_longest(*chunks, fillvalue=0)], kind, order)
 
 
 @dataclass
@@ -453,10 +474,12 @@ def verify_identity(
     (Fraction, int or "a/b" string; floats are refused). A statistical check
     needs a non-bool int `samples` >= 2. `z_threshold` must be a non-bool
     int or float >= 0 (inf allowed, NaN refused). `poisson-pgf` and
-    `dpoisson-pgf` raise DomainError unless |t| < 1, on any support. The
-    report serializes the typed values, so "2/4" is reported as "1/2". An
-    exact check on a degenerate Poisson with an infinite support, which has
-    no exact mass table, is reported as SKIPPED.
+    `dpoisson-pgf` raise DomainError unless |t| < 1, on any support.
+    DomainError also comes from `poisson-pgf`'s float target, and from any
+    statistical check's rounded estimate or standard error, past the float
+    range. The report serializes the typed values, so "2/4" is reported as
+    "1/2". An exact check on a degenerate Poisson with an infinite support,
+    which has no exact mass table, is reported as SKIPPED.
     """
     if tag not in _REGISTRY:
         raise UnknownIdentityError(tag)
@@ -490,7 +513,11 @@ def _check_stirling_inversion(n_max):
         return [sum(map(operator.mul, a[n][m:], columns[m])) for n in rows for m in range(n + 1)]
 
     identity = [int(n == m) for n in rows for m in range(n + 1)]
-    return _worst_gap(product(s1, s2) + product(s2, s1), identity * 2), 0
+    s1_s2 = product(s1, s2)
+    if s1_s2 == identity:
+        # for square matrices S1*S2 = I implies S2*S1 = I
+        return Fraction(0), 0
+    return _worst_gap(s1_s2 + product(s2, s1), identity * 2), 0
 
 
 def _worst_gap(lhs: list[int], rhs: list[int], denominator: int = 1) -> Fraction:
@@ -609,10 +636,17 @@ for _kind in MomentKind:
 
 @_identity("poisson-pgf", "alpha", "t", mode="STATISTICAL")
 def _check_poisson_pgf(alpha, t, samples, stream):
-    u = float(_pgf_argument(t))
-    draws = draw_samples(poisson(alpha), samples, stream)
-    estimate, standard_error = _gathered_mean(draws, lambda k: u ** k.astype(np.float64))
-    return estimate, standard_error, math.exp(float(alpha) * (u - 1.0))
+    u = _pgf_argument(t)
+    try:
+        target = math.exp(float(alpha) * (float(u) - 1.0))
+    except OverflowError:
+        raise DomainError("the target exp(alpha (u - 1)) is outside the float range") from None
+    counts = _draw_counts(draw_samples(poisson(alpha), samples, stream))
+    # u**k = p**k q**(top - k) / q**top for u = p/q
+    p, q, top = u.numerator, u.denominator, len(counts) - 1
+    numerators = [p**k * q ** (top - k) for k in range(top + 1)]
+    estimate, standard_error = _exact_mean_and_error(counts, numerators, q**top)
+    return estimate, standard_error, target
 
 
 @_identity("dpoisson-sample-mean", "alpha", "lam", mode="STATISTICAL")

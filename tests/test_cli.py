@@ -313,14 +313,24 @@ class TestSimulate:
 
     def test_alpha_716_poisson_stdout_digest(self, capsys):
         # the largest integer alpha that still samples; stdout pinned before
-        # the start-mass bound went in
+        # the start-mass bound went in, re-pinned when the reduction became
+        # exact (standard_error and z moved by one ulp)
         code, out, _ = run_cli(
             capsys, "simulate", "--dist", "poisson", "--alpha", "716", "--samples", "20000", "--seed", "1"
         )
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "bcbf7fd4ee39b28e9faf26b3964d9917b617cc86eba0d48496698ee87f305c14"
+            "12911913cd3c90852df2beb0e5b94ecc1b77f754e2e6224a16e9377119bb1daf"
         )
+
+    def test_sample_moment_past_the_float_range_exits_4(self, capsys):
+        # the float reduction overflowed to inf and z_score raised a bare
+        # OverflowError (exit 1 with a traceback)
+        code, out, err = run_cli(
+            capsys, "simulate", "--dist", "poisson", "--alpha", "2", "--order", "400", "--samples", "1000"
+        )
+        assert (code, out) == (4, "")
+        assert "float range" in err and "Traceback" not in err
 
     def test_negative_binomial_size_is_a_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "simulate", "--dist", "binomial", "--n", "-1", "--p", "1/2")
@@ -421,7 +431,7 @@ class TestPinnedExactOutput:
             (("dpoisson", "--seed", "2"),
              "b2eea36acc42bbfe7d782aad2aec1b4d999e27e1f42da0e498eedb3f60f470b7"),
             (("all", "--format", "csv", "--seed", "0"),
-             "e3d1dba682a06523dc1fa8be43313f91142802d1094c49752e346697ba798957"),
+             "73a8b6a54e481c72c329a54a6ad608efa3617eb877b5e2e02e875ad5197c3f84"),
             (("lahbell", "--n-max", "18", "--seed", "7", "--format", "csv"),
              "b5e25cbd25d2706530a34f9353e25fc13f0bf6da56971e74053247f837557a24"),
         ],
@@ -487,7 +497,7 @@ class TestPinnedExactOutput:
             (("dbinomial", "--n", "0", "--p", "1/3", "--lambda", "1/4", "--moment", "raw", "--order", "2"), 0,
              "cd95619bbc0e87daef7db181c515ee2a62e90b62b792c8b37201aad97405e802"),
             (("dbinomial", "--n", "1", "--p", "1/4", "--lambda", "2/3", "--moment", "rising", "--order", "2"), 0,
-             "c47645cd33121ce23b44e26552dd5d0c39bf721d1f098fd7fd5748ccc6d9c45e"),
+             "f9e12cdb93e7e9a0b877dbcd0738abc29d1a17516d82f54ea17cbe07da21fbca"),
             (("dbinomial", "--n", "3", "--p", "1/10", "--lambda", "2/5", "--moment", "raw", "--order", "1"), 5,
              "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
         ],
@@ -522,8 +532,9 @@ class TestPinnedExactOutput:
     # sha256 over `lahbell simulate` for the four distributions x three moment
     # kinds x csv / json, plus a zero-standard-error run (n = 0) in both
     # formats: each command's argv, exit code and stdout; recorded while the
-    # CSV and JSON fields were still listed separately
-    SIMULATE_FORMATS_SHA256 = "07015a36d3ae3de29341942f87dc6d8650af0526ea7915d183e5c145b4919f68"
+    # CSV and JSON fields were still listed separately, re-pinned when the
+    # reduction became exact (standard errors and z moved by ulps)
+    SIMULATE_FORMATS_SHA256 = "6d7417dcb96c8cba19750c2ebd33011ed67c30c503f42106e8ae368c05627fa1"
 
     def test_simulate_formats_digest(self, capsys):
         dists = (

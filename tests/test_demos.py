@@ -14,7 +14,7 @@ STDOUT_SHA256 = {
     "01_number_triangles": "95a630b6e7521f5128f24dbece61af4f2350ae58b7cb26250927bc589d23476f",
     "02_lah_bell_polynomials": "b67dfffa9e01b4863dbfaf2fcb865aaaf6523ec2296db0dcfb2be33d41b1d4d7",
     "03_degenerate_random_variables": "fd5ecb5106808282fc6626245db2ddb53218d154f70e17bfc1807af5431480e5",
-    "04_monte_carlo_verification": "6a14a6c95b25b5a212921f878c9b686938b7a0a49101d7b188a4b06afb59fb37",
+    "04_monte_carlo_verification": "4cf1d2c4475fb2134305a9ee503d53b7acf065b0ccf58eadc4b28c0b58207226",
 }
 
 

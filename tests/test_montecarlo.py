@@ -1,6 +1,9 @@
+import decimal
 import math
+import sys
 import time
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -43,7 +46,7 @@ from lahbell.polynomials import (
     lah_bell_series_coefficients,
     lahbell_from_bell,
 )
-from lahbell.montecarlo import _cumulative_table, _guide_table, _mean_and_standard_error, z_score
+from lahbell.montecarlo import _cumulative_table, _exact_mean_and_error, _guide_table, _sqrt_ratio, z_score
 from oracles import degenerate_factor_product, falling_factorial_coefficients, stirling2_explicit
 
 WITNESS = DegenerateBinomial(3, Fraction(1, 10), Fraction(2, 5))
@@ -215,102 +218,113 @@ class TestGuidedDraws:
         assert _guide_table(binomial(2, Fraction(1, 2)))[1].sum() == 0
 
 
-def per_sample_moment(draws, kind, order):
-    """Mean and standard error with the factorial power taken draw by draw."""
-    x = draws.astype(np.float64)
-    if order == 0:
-        values = np.ones_like(x)
-    elif kind is MomentKind.RAW:
-        values = x**order
-    else:
-        step = -1.0 if kind is MomentKind.FALLING else 1.0
-        values = x.copy()
-        for j in range(1, order):
-            values *= x + step * j
-    return float(np.mean(values)), float(np.std(values, ddof=1)) / math.sqrt(len(values))
+def factorial_power(k, kind, order):
+    """k**order, (k)_order or k^(order) of one draw, by the product of its factors."""
+    step = {MomentKind.RAW: 0, MomentKind.FALLING: -1, MomentKind.RISING: 1}[kind]
+    return math.prod(k + step * j for j in range(order)) if step else k**order
 
 
-class TestPerValueReduction:
+def exact_mean_and_error(values):
+    """float(mean) and the standard error of the mean (ddof = 1) of the draws'
+    exact values, summed draw by draw; the variance is the centred sum
+    sum (v - mean)**2 / (n - 1), the error a 60-digit decimal square root of
+    variance / n, rounded once to a float."""
+    n = len(values)
+    total = sum(values)
+    # sum (v - mean)**2 = sum (n v - total)**2 / n**2 for mean = total / n
+    centred = Fraction(sum((n * v - total) ** 2 for v in values)) / n**2
+    ratio = centred / ((n - 1) * n)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        root = (decimal.Decimal(ratio.numerator) / decimal.Decimal(ratio.denominator)).sqrt()
+    return float(Fraction(total) / n), float(root)
+
+
+def exact_moment(draws, kind, order):
+    powers = {k: factorial_power(k, kind, order) for k in set(draws.tolist())}
+    return exact_mean_and_error([powers[k] for k in draws.tolist()])
+
+
+class TestExactReduction:
     @pytest.mark.parametrize(
         "d",
         [poisson(Fraction(37, 3)), binomial(50, Fraction(5, 12)), DegeneratePoisson(Fraction(3), Fraction(1, 5))],
         ids=["poisson", "binomial", "dpoisson"],
     )
-    def test_estimates_equal_the_per_sample_formula(self, d):
+    def test_estimates_equal_the_exact_mean_of_the_draws(self, d):
         samples, seed = 20_001, 13
         # the draws of workers 0..2, split as estimate_moment_partitioned splits them
-        split = [draw_samples(d, size, SamplerStream(seed, w)) for w, size in enumerate((6667, 6667, 6667))]
+        split = np.concatenate([draw_samples(d, size, SamplerStream(seed, w)) for w, size in enumerate((6667, 6667, 6667))])
         draws = draw_samples(d, samples, SamplerStream(seed, 0))
         for kind in MomentKind:
             for order in range(7):
-                expected = per_sample_moment(draws, kind, order)
+                expected = exact_moment(draws, kind, order)
                 est = estimate_moment(d, kind, order, samples, SamplerStream(seed, 0))
                 assert (est.estimate, est.standard_error) == expected
                 est = estimate_moment_partitioned(d, kind, order, samples, seed, 1)
                 assert (est.estimate, est.standard_error) == expected
                 est = estimate_moment_partitioned(d, kind, order, samples, seed, 3)
-                assert (est.estimate, est.standard_error) == per_sample_moment(np.concatenate(split), kind, order)
+                assert (est.estimate, est.standard_error) == exact_moment(split, kind, order)
 
-    def test_poisson_pgf_equals_the_per_sample_power(self):
-        report = verify_identity("poisson-pgf", {"alpha": 5, "t": "1/3"}, samples=20_001, stream=SamplerStream(4, 2))
-        draws = draw_samples(poisson(5), 20_001, SamplerStream(4, 2))
-        u = float(_pgf_argument(Fraction(1, 3)))
-        assert report.lhs == repr(float(np.mean(u ** draws.astype(np.float64))))
+    def test_poisson_pgf_equals_the_exact_mean_of_the_powers(self):
+        params, samples = {"alpha": Fraction(5), "t": Fraction(1, 3)}, 20_001
+        report = verify_identity("poisson-pgf", params, samples=samples, stream=SamplerStream(4, 2))
+        estimate, standard_error, _ = montecarlo._check_poisson_pgf(**params, samples=samples, stream=SamplerStream(4, 2))
+        draws = draw_samples(poisson(5), samples, SamplerStream(4, 2))
+        u = _pgf_argument(Fraction(1, 3))
+        expected = exact_mean_and_error([u**k for k in draws.tolist()])
+        assert (estimate, standard_error) == expected
+        assert report.lhs == repr(expected[0])
 
-
-def reduction_input(n, seed, shape, scale, head):
-    """n float64 values of the given shape, the first ones replaced by `head`."""
-    rng = np.random.default_rng(seed)
-    if shape == "constant":
-        values = np.full(n, scale * rng.random())
-    elif shape == "falling-powers":
-        # falling factorial powers of small draws; at 0 they include -0.0
-        x = rng.integers(0, 6, n).astype(np.float64)
-        values = x * (x - 1.0) * (x - 2.0) * scale
-    else:
-        values = (rng.random(n) - 0.5) * scale
-    head = head[:n]
-    values[: len(head)] = head
-    return values
+    def test_estimate_past_the_float_range_raises_domain_error(self):
+        with pytest.raises(DomainError, match="float range"):
+            _exact_mean_and_error([1, 1], [0, 10**400])
+        with pytest.raises(DomainError, match="float range"):
+            estimate_moment(poisson(2), "raw", 400, 1000, SamplerStream(0))
 
 
-def assert_reduction_is_mean_and_std(values):
-    """`_mean_and_standard_error` gives np.mean's and np.std(ddof=1)'s floats, bit for bit."""
-    expected = (float(np.mean(values)), float(np.std(values, ddof=1)) / math.sqrt(len(values)))
-    got = _mean_and_standard_error(values.copy())
-    assert tuple(map(float.hex, got)) == tuple(map(float.hex, expected))
+def correctly_rounded(num, den, root):
+    """Whether the float `root` is sqrt(num / den) rounded to nearest, ties to even."""
+    exact = Fraction(num, den)
+    if root == 0:
+        return exact <= (Fraction(math.ulp(0.0)) / 2) ** 2
+    below = (Fraction(root) + Fraction(math.nextafter(root, 0.0))) / 2
+    above = Fraction(root) + Fraction(math.ulp(root)) / 2
+    if not below**2 <= exact <= above**2:
+        return False
+    # on a midpoint the even last bit wins
+    return exact not in (below**2, above**2) or Fraction(root) / Fraction(math.ulp(root)) % 2 == 0
 
 
-class TestInPlaceReduction:
+class TestSqrtRatio:
     @settings(max_examples=300, deadline=None)
     @given(
-        n=st.sampled_from([2, 3, 8, 9, 128, 129, 8192, 8193, 10**5 + 1]),
-        seed=st.integers(0, 2**32 - 1),
-        shape=st.sampled_from(["uniform", "constant", "falling-powers"]),
-        scale=st.sampled_from([1.0, 3.0, 1e-300, 1e100, 1e150]),
-        head=st.lists(st.floats(-1e150, 1e150), max_size=12),
+        num=st.one_of(st.integers(0, 2**200), st.integers(0, 2**60).map(lambda x: x * x), st.integers(0, 2**2100)),
+        den=st.one_of(st.integers(1, 2**200), st.integers(1, 2**60).map(lambda x: x * x), st.integers(2**2100, 2**2200)),
     )
-    def test_bit_identical_to_mean_and_std(self, n, seed, shape, scale, head):
-        assert_reduction_is_mean_and_std(reduction_input(n, seed, shape, scale, head))
-
-    def test_negative_zeros_and_equal_values(self):
-        for values in ([-0.0, -0.0], [-0.0, 0.0, -0.0], [7.5] * 129, [-1e150] * 8193):
-            assert_reduction_is_mean_and_std(np.array(values))
-
-    def test_peak_memory_per_draw(self):
-        # full-size arrays alive at once: the uniforms, the draws and the
-        # 1-byte ambiguity mask while drawing (17 bytes a draw), then the
-        # draws and the gathered values (16)
-        samples = 500_000
-        d = poisson(12)
-        estimate_moment(d, "rising", 3, samples, SamplerStream(1))
-        tracemalloc.start()
+    def test_correctly_rounded(self, num, den):
         try:
-            estimate_moment(d, "rising", 3, samples, SamplerStream(1))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak / samples <= 20
+            root = _sqrt_ratio(num, den)
+        except OverflowError:
+            assert Fraction(num, den) >= (Fraction(sys.float_info.max) + Fraction(math.ulp(sys.float_info.max)) / 2) ** 2
+        else:
+            assert correctly_rounded(num, den, root)
+
+    @settings(max_examples=200, deadline=None)
+    @given(odd=st.integers(2**52, 2**53 - 1).map(lambda x: 2 * x + 1), shift=st.integers(-1100, 900))
+    def test_midpoints_round_to_even(self, odd, shift):
+        # sqrt = odd * 2**shift, a 54-bit odd significand: halfway between two doubles
+        num, den = (odd * odd << 2 * shift, 1) if shift >= 0 else (odd * odd, 1 << -2 * shift)
+        assert correctly_rounded(num, den, _sqrt_ratio(num, den))
+
+    def test_exact_roots_and_the_ends_of_the_range(self):
+        assert _sqrt_ratio(0, 7) == 0.0
+        assert _sqrt_ratio(49, 4) == 3.5
+        assert _sqrt_ratio(1, 2**2148) == 2.0**-1074
+        assert _sqrt_ratio(2**2046, 1) == 2.0**1023
+        assert _sqrt_ratio(2, 1) == math.sqrt(2)
+        with pytest.raises(OverflowError):
+            _sqrt_ratio(2**2048, 1)
 
 
 class TestEstimateMoment:
@@ -335,6 +349,21 @@ class TestEstimateMoment:
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
             estimate_moment(DP_HALF, "raw", 1, 1, SamplerStream(0, 0))
+
+    def test_peak_memory_per_draw(self):
+        # full-size arrays alive at once: the uniforms, the draws and the
+        # 1-byte ambiguity mask while drawing (17 bytes a draw); the reduction
+        # reads only the draw counts
+        samples = 500_000
+        d = poisson(12)
+        estimate_moment(d, "rising", 3, samples, SamplerStream(1))
+        tracemalloc.start()
+        try:
+            estimate_moment(d, "rising", 3, samples, SamplerStream(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / samples <= 18
 
 
 class TestZScore:
@@ -458,6 +487,15 @@ class TestVerifyIdentity:
         for t in (Fraction(1), Fraction(-1), Fraction(3)):
             with pytest.raises(DomainError, match=r"\|t\| < 1"):
                 verify_identity("poisson-pgf", {"alpha": Fraction(1), "t": t}, samples=100)
+
+    @pytest.mark.parametrize("params", [{"alpha": 2, "t": "999/1000"}, {"alpha": 700, "t": "9/10"}])
+    def test_poisson_pgf_past_the_float_range_raises_domain_error(self, params):
+        # the float target exp(alpha (u - 1)) raised a bare OverflowError; at
+        # alpha 700 the float reduction also warned of overflow first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="float range"):
+                verify_identity("poisson-pgf", params, samples=1000, stream=SamplerStream(3))
 
     def test_dpoisson_pgf_refuses_t_outside_the_unit_interval_on_any_support(self):
         # an infinite support (lam = 2/5) used to report SKIPPED for any t
