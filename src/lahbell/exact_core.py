@@ -75,6 +75,15 @@ def _check_order(n: int) -> None:
         raise ValueError("order must be a nonnegative integer")
 
 
+def _ratio(value: RationalLike) -> tuple[int, int]:
+    """(numerator, denominator) in lowest terms; a non-bool int is (value, 1)
+    without building a Fraction."""
+    if type(value) is int:
+        return value, 1
+    value = as_rational(value)
+    return value.numerator, value.denominator
+
+
 def degenerate_factors(x: RationalLike, n: int, lam: RationalLike) -> tuple[Sequence[int], int]:
     """Integer factors F_j = a*e - j*b*c for j < n and base B = b*e, where x = a/b, lam = c/e.
 
@@ -83,10 +92,8 @@ def degenerate_factors(x: RationalLike, n: int, lam: RationalLike) -> tuple[Sequ
     at lam = 0) can be iterated more than once.
     """
     _check_order(n)
-    x = as_rational(x)
-    lam = as_rational(lam)
-    a, b = x.numerator, x.denominator
-    c, e = lam.numerator, lam.denominator
+    a, b = _ratio(x)
+    c, e = _ratio(lam)
     start, step = a * e, b * c
     factors = range(start, start - n * step, -step) if step else (start,) * n
     return factors, b * e

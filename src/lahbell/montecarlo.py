@@ -7,6 +7,10 @@ by (master_seed, stream_index) through a splittable seed sequence, so
 identical keys reproduce identical draws and distinct indices give
 independent substreams.
 
+`draw_samples` is the per-draw API. Estimates need only how often each value
+was drawn, so they count the same draws in fixed blocks of uniforms through a
+histogram of guide-table buckets and never build a per-draw array.
+
 The moment reduction is exact: every draw is an integer k and every value
 averaged (k**r, (k)_r, k^(r), or u**k for a rational u) is an exact rational,
 so the sample mean and its standard error are exact sums over the draw
@@ -70,6 +74,9 @@ _TABLE_BUDGET = 100_000
 _LEAST_START_MASS = 2.0**-1034
 # the guide table splits [0, 1) into 2**_GUIDE_BITS buckets of equal width
 _GUIDE_BITS = 12
+# uniforms per block when draws are only counted; a block's uniforms and
+# buckets (512 KB) stay in cache between the passes over it
+_BLOCK = 1 << 15
 
 
 def _check_seed(master_seed: int) -> None:
@@ -96,6 +103,11 @@ class SamplerStream:
 
     def uniforms(self, count: int) -> np.ndarray:
         return self._rng.random(count)
+
+    def fill(self, out: np.ndarray) -> None:
+        """Overwrite `out` with the next len(out) uniforms; consecutive fills
+        give the same uniforms as one `uniforms` call of their total size."""
+        self._rng.random(out=out)
 
 
 @dataclass(frozen=True)
@@ -195,10 +207,60 @@ def sample(d: Distribution, stream: SamplerStream) -> int:
     return int(draw_samples(d, 1, stream)[0])
 
 
+@lru_cache(maxsize=256)
+def _bucket_runs(d: Distribution) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ambiguous, starts, slots): the guide buckets cut into runs for `np.add.reduceat`.
+
+    `ambiguous` is the guide table's, returned here so that the counter
+    looks up one cache for the guide, not two. A run is a maximal stretch of
+    unambiguous buckets with one guide value, and its slot is that value; the
+    guide is nondecreasing and steps up across every ambiguous bucket, so no
+    two runs share a slot. Each ambiguous bucket is a run of its own with the
+    slot len(table), which is discarded.
+    """
+    guide, ambiguous = _guide_table(d)
+    slots = np.where(ambiguous, len(_cumulative_table(d)), guide)
+    starts = np.flatnonzero(np.diff(slots, prepend=-1) | ambiguous)
+    slots = slots[starts]
+    starts.setflags(write=False)
+    slots.setflags(write=False)
+    return ambiguous, starts, slots
+
+
+def _sample_counts(d: Distribution, count: int, stream: SamplerStream) -> list[int]:
+    """np.bincount(draw_samples(d, count, stream)).tolist(), without a per-draw array.
+
+    The stream fills one reused buffer with blocks of at most _BLOCK
+    uniforms. A block's draws in ambiguous buckets are searched and counted;
+    its other draws are counted through a histogram of their buckets, which
+    the runs of `_bucket_runs` fold into per-value counts.
+    """
+    if count == 0:
+        return []
+    table = _cumulative_table(d)
+    ambiguous, starts, slots = _bucket_runs(d)
+    u = np.empty(min(count, _BLOCK))
+    buckets = np.empty(len(u), dtype=np.intp)
+    for done in range(0, count, _BLOCK):
+        # the whole buffers, except for a shorter last block
+        block, index = u[: count - done], buckets[: count - done]
+        stream.fill(block)
+        np.multiply(block, 1 << _GUIDE_BITS, out=index, casting="unsafe")
+        found = np.bincount(np.searchsorted(table, block[ambiguous[index]], side="right"), minlength=len(table) + 1)
+        found[slots] += np.add.reduceat(np.bincount(index, minlength=1 << _GUIDE_BITS), starts)
+        counts = counts + found if done else found
+    drawn = counts[:-1].nonzero()[0]
+    return counts[: drawn[-1] + 1].tolist()
+
+
 def z_score(estimate: float, standard_error: float, target: Union[Fraction, float]) -> float:
     """(estimate - target) / standard_error; with a zero standard error, 0
-    when the estimate hits the target exactly and infinity otherwise."""
-    target = float(target)
+    when the estimate hits the target exactly and infinity otherwise.
+    DomainError when the target has no float."""
+    try:
+        target = float(target)
+    except OverflowError:
+        raise DomainError("target outside the float range") from None
     if standard_error == 0:
         return 0.0 if estimate == target else math.inf
     return (estimate - target) / standard_error
@@ -222,11 +284,6 @@ def _sqrt_ratio(num: int, den: int) -> float:
     root = math.isqrt(num // den)
     root |= root * root * den != num
     return float(root << shift) if shift >= 0 else root / (1 << -shift)
-
-
-def _draw_counts(draws: np.ndarray) -> list[int]:
-    """counts[k] = the number of draws equal to k, for k = 0..max(draws)."""
-    return np.bincount(draws).tolist()
 
 
 def _exact_mean_and_error(counts: list[int], numerators: list[int], scale: int = 1) -> tuple[float, float]:
@@ -281,7 +338,7 @@ def estimate_moment(
 ) -> MomentEstimate:
     """Sample mean and standard error of the chosen factorial power."""
     kind = _checked_kind(kind, order, samples)
-    return _reduce(_draw_counts(draw_samples(d, samples, stream)), kind, order)
+    return _reduce(_sample_counts(d, samples, stream), kind, order)
 
 
 def estimate_moment_partitioned(
@@ -306,7 +363,7 @@ def estimate_moment_partitioned(
         raise ValueError("workers must be positive")
     base, remainder = divmod(samples, workers)
     chunks = [
-        _draw_counts(draw_samples(d, base + (worker < remainder), SamplerStream(master_seed, worker)))
+        _sample_counts(d, base + (worker < remainder), SamplerStream(master_seed, worker))
         for worker in range(min(workers, samples))
     ]
     return _reduce([sum(column) for column in itertools.zip_longest(*chunks, fillvalue=0)], kind, order)
@@ -476,8 +533,8 @@ def verify_identity(
     int or float >= 0 (inf allowed, NaN refused). `poisson-pgf` and
     `dpoisson-pgf` raise DomainError unless |t| < 1, on any support.
     DomainError also comes from `poisson-pgf`'s float target, and from any
-    statistical check's rounded estimate or standard error, past the float
-    range. The report serializes the typed values, so "2/4" is reported as
+    statistical check's rounded estimate, standard error or target, past the
+    float range. The report serializes the typed values, so "2/4" is reported as
     "1/2". An exact check on a degenerate Poisson with an infinite support,
     which has no exact mass table, is reported as SKIPPED.
     """
@@ -641,7 +698,7 @@ def _check_poisson_pgf(alpha, t, samples, stream):
         target = math.exp(float(alpha) * (float(u) - 1.0))
     except OverflowError:
         raise DomainError("the target exp(alpha (u - 1)) is outside the float range") from None
-    counts = _draw_counts(draw_samples(poisson(alpha), samples, stream))
+    counts = _sample_counts(poisson(alpha), samples, stream)
     # u**k = p**k q**(top - k) / q**top for u = p/q
     p, q, top = u.numerator, u.denominator, len(counts) - 1
     numerators = [p**k * q ** (top - k) for k in range(top + 1)]

@@ -332,6 +332,17 @@ class TestSimulate:
         assert (code, out) == (4, "")
         assert "float range" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("order", ["215", "230", "260"])
+    def test_target_past_the_float_range_exits_4(self, capsys, order):
+        # the estimate is a float but the exact target is not: z_score's
+        # float(target) raised a bare OverflowError (exit 1 with a traceback)
+        code, out, err = run_cli(
+            capsys, "simulate", "--dist", "poisson", "--alpha", "2", "--moment", "raw",
+            "--order", order, "--samples", "1000",
+        )
+        assert (code, out) == (4, "")
+        assert "target outside the float range" in err and "Traceback" not in err
+
     def test_negative_binomial_size_is_a_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "simulate", "--dist", "binomial", "--n", "-1", "--p", "1/2")
         assert (code, out, err) == (2, "", "error: n must be a nonnegative integer\n")

@@ -95,6 +95,26 @@ class TestFactorials:
         with pytest.raises(ValueError):
             degenerate_factors(1, -1, 0)
 
+    def test_int_arguments_build_no_fraction(self, monkeypatch, capsys):
+        # `family_numerators` passes the int 1 as x, and the lahbell suite the
+        # int lam = 0; each went through `as_rational` and built a Fraction
+        # (22 of them in one `verify lahbell --n-max 12`)
+        from lahbell import cli, exact_core
+
+        built = []
+
+        def counting(value):
+            if not isinstance(value, Fraction):
+                built.append(value)
+            return as_rational(value)
+
+        monkeypatch.setattr(exact_core, "as_rational", counting)
+        assert cli.main(["verify", "lahbell", "--n-max", "12"]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+        assert built == []
+        assert degenerate_factors(True, 2, False) == ((1, 1), 1)
+        assert built == [True, False]
+
     @given(rationals, st.integers(0, 12), rationals)
     def test_integer_prefixes_over_one_base(self, x, n, lam):
         prefixes, base = degenerate_factor_numerators(x, n, lam)

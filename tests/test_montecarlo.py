@@ -96,6 +96,21 @@ class TestSamplerStream:
         with pytest.raises(ValueError):
             SamplerStream(2**64)
 
+    def test_consecutive_fills_are_one_uniforms_call(self):
+        # the counter relies on it: blocks filled one after another give the
+        # stream that one `uniforms` call of their total size gives
+        block = montecarlo._BLOCK
+        sizes = (block, block, 7, 1, block - 1)
+        stream = SamplerStream(29, 3)
+        filled = []
+        for size in sizes:
+            out = np.empty(size)
+            stream.fill(out)
+            filled.append(out)
+        assert np.array_equal(np.concatenate(filled), SamplerStream(29, 3).uniforms(sum(sizes)))
+        # and the stream goes on where the fills left it
+        assert np.array_equal(stream.uniforms(5), SamplerStream(29, 3).uniforms(sum(sizes) + 5)[-5:])
+
 
 class TestCumulativeTables:
     def test_finite_table_exact_before_floats(self):
@@ -216,6 +231,75 @@ class TestGuidedDraws:
         assert np.array_equal(ambiguous, inside)
         assert ambiguous.sum() > 100
         assert _guide_table(binomial(2, Fraction(1, 2)))[1].sum() == 0
+
+
+# the `sampling` benchmark pool's eight shapes: classical Poisson, classical
+# binomial, nonnegative degenerate binomial and finite degenerate Poisson, one
+# small and one large each
+SAMPLING_POOL = [
+    poisson(Fraction(7, 2)),
+    binomial(20, Fraction(2, 7)),
+    DegenerateBinomial(15, Fraction(3, 7), Fraction(1, 62)),
+    DegeneratePoisson(Fraction(7, 3), Fraction(1, 20)),
+    poisson(8),
+    binomial(50, Fraction(1, 6)),
+    DegenerateBinomial(35, Fraction(1, 3), Fraction(1, 114)),
+    DegeneratePoisson(Fraction(1), Fraction(1, 40)),
+]
+
+
+class TestSampleCounts:
+    BLOCK = montecarlo._BLOCK
+
+    @pytest.mark.parametrize(
+        "d",
+        [
+            *SAMPLING_POOL,
+            poisson(2),  # ten tail entries inside the last bucket
+            binomial(2000, Fraction(1, 3)),  # 2001 entries, hundreds inside bucket 0
+            DP_HALF,  # 3 entries
+        ],
+        ids=[*(f"pool-{i}" for i in range(8)), "poisson-2", "binomial-2000", "dpoisson-3-entries"],
+    )
+    def test_counts_equal_the_bincount_of_the_draws(self, d):
+        block = self.BLOCK
+        for n in (2, 3, 2000, block - 1, block, block + 1, 3 * block + 7):
+            for seed, index in ((0, 0), (11, 4)):
+                counts = montecarlo._sample_counts(d, n, SamplerStream(seed, index))
+                assert counts == np.bincount(draw_samples(d, n, SamplerStream(seed, index))).tolist()
+                assert sum(counts) == n and counts[-1] > 0
+
+    def test_the_covered_buckets_are_ambiguous(self):
+        # the oracle cases above reach both kinds of ambiguous bucket
+        _, ambiguous = _guide_table(poisson(2))
+        table = _cumulative_table(poisson(2))
+        assert ambiguous[-1] and ((table > 1 - 2.0**-12) & (table < 1.0)).sum() > 1
+        _, ambiguous = _guide_table(binomial(2000, Fraction(1, 3)))
+        assert ambiguous[0] and (_cumulative_table(binomial(2000, Fraction(1, 3))) < 2.0**-12).sum() > 100
+
+    def test_no_draws_give_no_counts(self):
+        assert montecarlo._sample_counts(poisson(2), 0, SamplerStream(0)) == []
+
+    def test_the_counter_does_not_draw_per_sample(self, monkeypatch):
+        def draw(*args):
+            raise AssertionError("estimates must not build per-draw arrays")
+
+        monkeypatch.setattr(montecarlo, "draw_samples", draw)
+        estimate_moment(poisson(2), "raw", 1, 3 * self.BLOCK + 7, SamplerStream(1))
+        verify_identity("poisson-pgf", {"alpha": 1, "t": "1/2"}, samples=2000, stream=SamplerStream(1))
+
+    @pytest.mark.parametrize("d", [SAMPLING_POOL[3], binomial(2000, Fraction(1, 3))], ids=["dpoisson", "binomial-2000"])
+    def test_partitioned_counts_are_the_workers_counts(self, d, monkeypatch):
+        # three workers draw B + 3, B + 2 and B + 2: each crosses a block edge
+        samples, seed = 3 * self.BLOCK + 7, 8
+        single = montecarlo._sample_counts(d, samples, SamplerStream(seed, 0))
+        reduced = []
+        monkeypatch.setattr(montecarlo, "_reduce", lambda counts, kind, order: reduced.append(counts))
+        estimate_moment_partitioned(d, "rising", 2, samples, seed, 1)
+        estimate_moment_partitioned(d, "rising", 2, samples, seed, 3)
+        sizes = (self.BLOCK + 3, self.BLOCK + 2, self.BLOCK + 2)
+        split = np.concatenate([draw_samples(d, size, SamplerStream(seed, w)) for w, size in enumerate(sizes)])
+        assert reduced == [single, np.bincount(split).tolist()]
 
 
 def factorial_power(k, kind, order):
@@ -351,19 +435,22 @@ class TestEstimateMoment:
             estimate_moment(DP_HALF, "raw", 1, 1, SamplerStream(0, 0))
 
     def test_peak_memory_per_draw(self):
-        # full-size arrays alive at once: the uniforms, the draws and the
-        # 1-byte ambiguity mask while drawing (17 bytes a draw); the reduction
-        # reads only the draw counts
-        samples = 500_000
+        # the draws are counted block by block: one block of uniforms and one
+        # of buckets (512 KB) plus a bucket histogram, whatever the count; a
+        # per-draw array would take at least 8 bytes a draw (4 MB here)
         d = poisson(12)
-        estimate_moment(d, "rising", 3, samples, SamplerStream(1))
-        tracemalloc.start()
-        try:
+        peaks = []
+        for samples in (500_000, 1_000_000):
             estimate_moment(d, "rising", 3, samples, SamplerStream(1))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak / samples <= 18
+            tracemalloc.start()
+            try:
+                estimate_moment(d, "rising", 3, samples, SamplerStream(1))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 1_000_000
+        # doubling the draws adds no memory beyond a page of small objects
+        assert peaks[1] <= peaks[0] + 4096
 
 
 class TestZScore:
@@ -374,6 +461,14 @@ class TestZScore:
     def test_zero_standard_error(self):
         assert z_score(2.0, 0.0, Fraction(2)) == 0.0
         assert z_score(2.5, 0.0, Fraction(2)) == math.inf
+
+    def test_target_past_the_float_range_raises_domain_error(self):
+        # float(target) raised a bare OverflowError
+        for target in (Fraction(10**400), Fraction(-(10**400), 3)):
+            with pytest.raises(DomainError, match="target outside the float range"):
+                z_score(1.0, 0.5, target)
+        with pytest.raises(DomainError, match="target outside the float range"):
+            verify_identity("poisson-raw-moment", {"alpha": 2, "order": 215}, samples=1000)
 
 
 class TestMomentTarget:
@@ -401,7 +496,7 @@ class TestPartitionedEstimation:
         def draw(*args):
             raise AssertionError("drew before checking the order")
 
-        monkeypatch.setattr(montecarlo, "draw_samples", draw)
+        monkeypatch.setattr(montecarlo, "_sample_counts", draw)
         with pytest.raises(ValueError, match="order must be nonnegative"):
             estimate_moment_partitioned(poisson(2), kind, -1, 1000, 1, 2)
 
