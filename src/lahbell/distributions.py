@@ -20,6 +20,7 @@ measure regardless, so moment routines work unconditionally, while
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -32,6 +33,8 @@ from .exact_core import (
     LAH_TRIANGLE,
     STIRLING2_TRIANGLE,
     RationalLike,
+    _float,
+    _float_exp,
     as_rational,
     degenerate_exp_eval,
     degenerate_exp_exact,
@@ -163,12 +166,17 @@ class DegenerateBinomial:
         return moment(self, MomentKind.RISING, m)
 
     def mgf(self, t: Union[float, RationalLike]) -> float:
-        """Moment generating function at t, a float evaluation boundary."""
-        t_float = float(t) if isinstance(t, float) else float(as_rational(t))
+        """Moment generating function at t, a float evaluation boundary;
+        DomainError when it is past the float range."""
+        t_float = float(t) if isinstance(t, float) else _float(as_rational(t))
         nums, den = self._mass_table
         total = 0.0
         for i, x in enumerate(nums):
-            total += math.exp(i * t_float) * (x / den)
+            # a zero mass adds nothing, and exp(0 * t) is 1 at an infinite t too
+            if x:
+                total += (_float_exp(i * t_float) if i else 1.0) * (x / den)
+        if math.isinf(total):
+            raise DomainError("result outside the float range")
         return total
 
     def pgf(self, t: RationalLike) -> Fraction:
@@ -417,12 +425,13 @@ def moment(d: Distribution, kind: Union[MomentKind, str], order: int) -> Fractio
     return Fraction(num, den)
 
 
-def _exact_kind_value(kind: MomentKind, order: int, i: int) -> int:
+def _factorial_powers(kind: MomentKind, order: int, top: int) -> list[int]:
+    """The chosen factorial power of each k = 0..top, exact."""
     if kind is MomentKind.RAW:
-        return i**order
-    if kind is MomentKind.FALLING:
-        return math.perm(i, order)
-    return math.perm(i + order - 1, order) if i else int(order == 0)
+        return [k**order for k in range(top + 1)]
+    # (k)_r = perm(k, r) and k^(r) = (k + r - 1)_r; both are 1 at r = 0
+    shift = max(order - 1, 0) if kind is MomentKind.RISING else 0
+    return [math.perm(k + shift, order) for k in range(top + 1)]
 
 
 def moment_direct(d: Distribution, kind: MomentKind, order: int) -> Fraction:
@@ -436,7 +445,7 @@ def moment_direct(d: Distribution, kind: MomentKind, order: int) -> Fraction:
         raise ValueError("moment order must be nonnegative")
     kind = MomentKind(kind)
     nums, den = d._mass_table
-    return Fraction(sum(_exact_kind_value(kind, order, i) * x for i, x in enumerate(nums)), den)
+    return Fraction(sum(map(operator.mul, _factorial_powers(kind, order, len(nums) - 1), nums)), den)
 
 
 def pgf_direct(d: Distribution, t: RationalLike) -> Fraction:

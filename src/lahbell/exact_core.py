@@ -233,21 +233,43 @@ def degenerate_exp_eval(x: RationalLike, t: RationalLike, lam: RationalLike) -> 
     1.0 once lam*t < 2**-53 and lose the base as lam -> 0. Where x/lam has no
     float, the same exponent is taken as x*t * log1p(z)/z with z = lam*t, and
     the ratio as 1 where z rounds to 0: the lam -> 0 limit to float precision.
+    A base with no float takes its log from its integer parts. A value past
+    the float range raises DomainError; one below it is 0.0.
     """
     x = as_rational(x)
     t = as_rational(t)
     lam = as_rational(lam)
     if lam == 0:
-        return math.exp(float(x * t))
+        return _float_exp(_float(x * t))
     base = 1 + lam * t
     if base <= 0:
         raise DomainError(f"degenerate exponential needs 1 + lam*t > 0, got {format_rational(base)}")
-    z = float(lam * t)
+    z = _float(lam * t)
+    if z == math.inf:  # a base past the float range: take its log from its integer parts
+        return _float_exp(_float(x / lam) * (math.log(base.numerator) - math.log(base.denominator)))
     try:
         exponent = float(x / lam)
     except OverflowError:
-        return math.exp(float(x * t) * (math.log1p(z) / z if z else 1.0))
-    return math.exp(exponent * math.log1p(z))
+        return _float_exp(_float(x * t) * (math.log1p(z) / z if z else 1.0))
+    return _float_exp(exponent * math.log1p(z))
+
+
+def _float(q: Fraction) -> float:
+    """float(q), or an infinity of q's sign past the float range."""
+    try:
+        return float(q)
+    except OverflowError:
+        return math.inf if q > 0 else -math.inf
+
+
+def _float_exp(power: float) -> float:
+    """math.exp(power): 0.0 below the float range, DomainError past it."""
+    try:
+        if (value := math.exp(power)) != math.inf:  # nan passes through
+            return value
+    except OverflowError:
+        pass
+    raise DomainError("result outside the float range")
 
 
 def degenerate_exp_exact(x: RationalLike, t: RationalLike, lam: RationalLike) -> Fraction:

@@ -1,15 +1,16 @@
 """Deterministic-seed sampling and statistical / exact identity verification.
 
 Sampling is inverse-CDF lookup against an exact cumulative table (floated once
-per distribution), sped up by a guide table whose every draw equals
-`np.searchsorted(table, u, side="right")`. Streams are numpy generators keyed
-by (master_seed, stream_index) through a splittable seed sequence, so
-identical keys reproduce identical draws and distinct indices give
-independent substreams.
+per distribution): the draw of a uniform u is
+`np.searchsorted(table, u, side="right")`, which is all `draw_samples`, the
+per-draw API, does. Streams are numpy generators keyed by (master_seed,
+stream_index) through a splittable seed sequence, so identical keys reproduce
+identical draws and distinct indices give independent substreams.
 
-`draw_samples` is the per-draw API. Estimates need only how often each value
-was drawn, so they count the same draws in fixed blocks of uniforms through a
-histogram of guide-table buckets and never build a per-draw array.
+Estimates need only how often each value was drawn. `_sample_counts` counts
+the same draws in fixed blocks of uniforms through a histogram of guide-table
+buckets, never building a per-draw array; it is the only code that reads the
+guide table.
 
 The moment reduction is exact: every draw is an integer k and every value
 averaged (k**r, (k)_r, k^(r), or u**k for a rational u) is an exact rational,
@@ -41,6 +42,7 @@ from .distributions import (
     Distribution,
     MomentKind,
     _InfiniteSupport,
+    _factorial_powers,
     _pgf_argument,
     analyze_support,
     moment,
@@ -162,44 +164,12 @@ def _cumulative_table(d: Distribution) -> np.ndarray:
     return table
 
 
-@lru_cache(maxsize=256)
-def _guide_table(d: Distribution) -> tuple[np.ndarray, np.ndarray]:
-    """(guide, ambiguous) over the buckets [j/B, (j+1)/B) of [0, 1), B = 2**_GUIDE_BITS.
-
-    guide[j] counts the table entries <= j/B. A bucket with no entry strictly
-    inside it has that count for every u in it, so guide[j] is the draw;
-    `ambiguous` marks the buckets where it is not.
-    """
-    table = _cumulative_table(d)
-    edges = np.arange((1 << _GUIDE_BITS) + 1) / (1 << _GUIDE_BITS)
-    guide = np.searchsorted(table, edges[:-1], side="right").astype(np.int64)
-    ambiguous = guide != np.searchsorted(table, edges[1:], side="left")
-    guide.setflags(write=False)
-    ambiguous.setflags(write=False)
-    return guide, ambiguous
-
-
 def draw_samples(d: Distribution, count: int, stream: SamplerStream) -> np.ndarray:
-    """Vectorized inverse-CDF draws; consumes `count` uniforms from the stream.
-
-    Each draw is `np.searchsorted(table, u, side="right")` for its uniform u,
-    looked up in the guide table; only draws in ambiguous buckets search. One
-    index buffer holds each uniform's bucket and then, in place, its draw.
-    """
+    """Inverse-CDF draws `np.searchsorted(table, u, side="right")`, one per
+    uniform u; consumes `count` uniforms from the stream."""
     if count < 0:
         raise ValueError("count must be nonnegative")
-    table = _cumulative_table(d)
-    guide, ambiguous = _guide_table(d)
-    u = stream.uniforms(count)
-    draws = np.empty(count, dtype=np.intp)
-    # scaling by a power of two is exact, so u lands in its true bucket
-    np.multiply(u, 1 << _GUIDE_BITS, out=draws, casting="unsafe")
-    fix = np.flatnonzero(ambiguous[draws])
-    # every bucket lies in [0, 2**_GUIDE_BITS), so "clip" never clips; it
-    # lets take write into its own index array without a copy
-    np.take(guide, draws, out=draws, mode="clip")
-    draws[fix] = np.searchsorted(table, u[fix], side="right")
-    return draws
+    return np.searchsorted(_cumulative_table(d), stream.uniforms(count), side="right")
 
 
 def sample(d: Distribution, stream: SamplerStream) -> int:
@@ -211,19 +181,24 @@ def sample(d: Distribution, stream: SamplerStream) -> int:
 def _bucket_runs(d: Distribution) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(ambiguous, starts, slots): the guide buckets cut into runs for `np.add.reduceat`.
 
-    `ambiguous` is the guide table's, returned here so that the counter
-    looks up one cache for the guide, not two. A run is a maximal stretch of
-    unambiguous buckets with one guide value, and its slot is that value; the
-    guide is nondecreasing and steps up across every ambiguous bucket, so no
-    two runs share a slot. Each ambiguous bucket is a run of its own with the
-    slot len(table), which is discarded.
+    The guide splits [0, 1) into the buckets [j/B, (j+1)/B), B = 2**_GUIDE_BITS;
+    guide[j] counts the table entries <= j/B. A bucket with no entry strictly
+    inside it has that count for every u in it, so guide[j] is the draw;
+    `ambiguous` marks the buckets where it is not. A run is a maximal stretch
+    of unambiguous buckets with one guide value, and its slot is that value;
+    the guide is nondecreasing and steps up across every ambiguous bucket, so
+    no two runs share a slot. Each ambiguous bucket is a run of its own with
+    the slot len(table), which is discarded.
     """
-    guide, ambiguous = _guide_table(d)
-    slots = np.where(ambiguous, len(_cumulative_table(d)), guide)
+    table = _cumulative_table(d)
+    edges = np.arange((1 << _GUIDE_BITS) + 1) / (1 << _GUIDE_BITS)
+    guide = np.searchsorted(table, edges[:-1], side="right")
+    ambiguous = guide != np.searchsorted(table, edges[1:], side="left")
+    slots = np.where(ambiguous, len(table), guide)
     starts = np.flatnonzero(np.diff(slots, prepend=-1) | ambiguous)
     slots = slots[starts]
-    starts.setflags(write=False)
-    slots.setflags(write=False)
+    for array in (ambiguous, starts, slots):
+        array.setflags(write=False)
     return ambiguous, starts, slots
 
 
@@ -245,6 +220,7 @@ def _sample_counts(d: Distribution, count: int, stream: SamplerStream) -> list[i
         # the whole buffers, except for a shorter last block
         block, index = u[: count - done], buckets[: count - done]
         stream.fill(block)
+        # scaling by a power of two is exact, so u lands in its true bucket
         np.multiply(block, 1 << _GUIDE_BITS, out=index, casting="unsafe")
         found = np.bincount(np.searchsorted(table, block[ambiguous[index]], side="right"), minlength=len(table) + 1)
         found[slots] += np.add.reduceat(np.bincount(index, minlength=1 << _GUIDE_BITS), starts)
@@ -303,15 +279,6 @@ def _exact_mean_and_error(counts: list[int], numerators: list[int], scale: int =
         return s1 / (n * scale), _sqrt_ratio(n * s2 - s1 * s1, n * n * (n - 1) * scale * scale)
     except OverflowError:
         raise DomainError("sample mean or its standard error is outside the float range") from None
-
-
-def _factorial_powers(kind: MomentKind, order: int, top: int) -> list[int]:
-    """The chosen factorial power of each k = 0..top, exact."""
-    if kind is MomentKind.RAW:
-        return [k**order for k in range(top + 1)]
-    # (k)_r = perm(k, r) and k^(r) = (k + r - 1)_r; both are 1 at r = 0
-    shift = max(order - 1, 0) if kind is MomentKind.RISING else 0
-    return [math.perm(k + shift, order) for k in range(top + 1)]
 
 
 def _checked_kind(kind: Union[MomentKind, str], order: int, samples: int) -> MomentKind:

@@ -343,6 +343,19 @@ class TestDegenerateBinomialGeneratingFunctions:
         with pytest.raises(DomainError):
             DegenerateBinomial(2, Fraction(1, 2), Fraction(0)).pgf(Fraction(3, 2))
 
+    def test_mgf_past_the_float_range_raises_domain_error(self):
+        # math.exp raised a bare OverflowError
+        d = DegenerateBinomial(2, Fraction(1, 2), Fraction(0))
+        for t in (1000, 355.0, 10**400):
+            with pytest.raises(DomainError, match="outside the float range"):
+                d.mgf(t)
+        assert d.mgf(-1000) == d.mgf(-(10**400)) == 0.25
+        # a zero mass adds nothing, however large its exponential
+        assert DegenerateBinomial(2, Fraction(0), Fraction(0)).mgf(1000) == 1.0
+
+    def test_mgf_at_nan_is_nan(self):
+        assert math.isnan(DegenerateBinomial(2, Fraction(1, 2), Fraction(0)).mgf(math.nan))
+
 
 class TestDegeneratePoissonConstruction:
     def test_parameter_domains(self):
@@ -639,6 +652,20 @@ class TestPgf:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             poisson(1).pgf(Fraction(1))
+
+    def test_float_value_past_the_float_range_raises_domain_error(self):
+        # exp(alpha (u - 1)) raised a bare OverflowError
+        near_one = 1 - Fraction(1, 10**400)
+        cases = [
+            (poisson(800), Fraction(1, 2)),
+            (poisson(2), Fraction(999, 1000)),
+            (poisson(2), near_one),
+            (DegeneratePoisson(Fraction(1), Fraction(2, 5)), near_one),
+        ]
+        for d, t in cases:
+            with pytest.raises(DomainError, match="outside the float range"):
+                d.pgf(t)
+        assert poisson(5000).pgf(Fraction(-1, 2)) == 0.0
 
     def test_infinite_support_direct_sums_raise(self):
         for d in (poisson(1), DegeneratePoisson(Fraction(1), Fraction(2, 5))):

@@ -247,6 +247,42 @@ class TestDegenerateExponential:
     def test_lam_zero_is_exp(self):
         assert degenerate_exp_eval(2, Fraction(1, 2), 0) == pytest.approx(math.e, rel=1e-12)
 
+    def test_value_past_the_float_range_raises_domain_error(self):
+        # math.exp, or float() of the exponent, raised a bare OverflowError
+        cases = [
+            (1, 1000, 0),
+            (1, 10**400, 0),
+            (1, 10**6, Fraction(1, 1000)),
+            (1, 10**400, Fraction(2, 5)),
+            (1, 10**400, Fraction(1, 10**400)),
+            (1, 10**800, Fraction(1, 10**400)),
+            (-1, -(10**800), Fraction(-1, 10**400)),
+        ]
+        for x, t, lam in cases:
+            with pytest.raises(DomainError, match="outside the float range"):
+                degenerate_exp_eval(x, t, lam)
+
+    def test_value_below_the_float_range_is_zero(self):
+        cases = [
+            (-1, 1000, 0),
+            (-1, 10**400, 0),
+            (-1, 10**6, Fraction(1, 1000)),
+            (-1, 10**400, Fraction(2, 5)),
+            (-1, 10**800, Fraction(1, 10**400)),
+            (1, -(10**800), Fraction(-1, 10**400)),
+        ]
+        for x, t, lam in cases:
+            assert degenerate_exp_eval(x, t, lam) == 0.0, (x, t, lam)
+        assert degenerate_exp_eval(0, 10**400, Fraction(2, 5)) == 1.0
+
+    def test_base_past_the_float_range_with_a_small_exponent(self):
+        # (1 + 10**402) ** (+-1/100): the base has no float, the power has one
+        assert degenerate_exp_eval(1, 10**400, 100) == pytest.approx(10 ** 4.02, rel=1e-12)
+        assert degenerate_exp_eval(-1, 10**400, 100) == pytest.approx(10 ** -4.02, rel=1e-12)
+        # a base with a denominator: (1 + 10**400/7) ** (1/100)
+        value = degenerate_exp_eval(Fraction(3, 700), Fraction(10**400, 3), Fraction(3, 7))
+        assert value == pytest.approx(math.exp((400 * math.log(10) - math.log(7)) / 100), rel=1e-12)
+
     def test_domain_error(self):
         with pytest.raises(DomainError):
             degenerate_exp_eval(1, -3, Fraction(1, 2))

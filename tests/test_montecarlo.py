@@ -46,7 +46,7 @@ from lahbell.polynomials import (
     lah_bell_series_coefficients,
     lahbell_from_bell,
 )
-from lahbell.montecarlo import _cumulative_table, _exact_mean_and_error, _guide_table, _sqrt_ratio, z_score
+from lahbell.montecarlo import _bucket_runs, _cumulative_table, _exact_mean_and_error, _sqrt_ratio, z_score
 from oracles import degenerate_factor_product, falling_factorial_coefficients, stirling2_explicit
 
 WITNESS = DegenerateBinomial(3, Fraction(1, 10), Fraction(2, 5))
@@ -179,7 +179,8 @@ class TestSampling:
 
 
 class CraftedStream:
-    """Hands out the given uniforms in order, as `SamplerStream.uniforms` would."""
+    """Hands out the given uniforms in order, as `SamplerStream.uniforms` and
+    `SamplerStream.fill` would."""
 
     def __init__(self, uniforms):
         self._uniforms, self._at = uniforms, 0
@@ -188,6 +189,9 @@ class CraftedStream:
         out = self._uniforms[self._at: self._at + count]
         self._at += count
         return out
+
+    def fill(self, out):
+        out[:] = self.uniforms(len(out))
 
 
 class TestGuidedDraws:
@@ -214,23 +218,27 @@ class TestGuidedDraws:
             np.random.default_rng(2024).random(100_000),
         ])
         u = u[u < 1.0]
+        expected = np.searchsorted(table, u, side="right")
         draws = draw_samples(d, len(u), CraftedStream(u))
         assert draws.dtype == np.int64
-        assert np.array_equal(draws, np.searchsorted(table, u, side="right"))
+        assert np.array_equal(draws, expected)
+        # the counter reads the guide table; its blocks cut the crafted points at arbitrary places
+        counts = montecarlo._sample_counts(d, len(u), CraftedStream(u))
+        assert counts == np.bincount(expected).tolist()
 
     def test_only_buckets_holding_an_entry_inside_are_ambiguous(self):
         d = DegenerateBinomial(1500, Fraction(1, 3), Fraction(1, 7919))
         table = _cumulative_table(d)
-        guide, ambiguous = _guide_table(d)
+        ambiguous = _bucket_runs(d)[0]
         buckets = 1 << montecarlo._GUIDE_BITS
-        assert guide.dtype == np.int64 and len(guide) == len(ambiguous) == buckets
+        assert ambiguous.dtype == bool and len(ambiguous) == buckets
         inside = np.zeros(buckets, dtype=bool)
         for entry in table[table < 1.0]:
             if entry * buckets != math.floor(entry * buckets):
                 inside[math.floor(entry * buckets)] = True
         assert np.array_equal(ambiguous, inside)
         assert ambiguous.sum() > 100
-        assert _guide_table(binomial(2, Fraction(1, 2)))[1].sum() == 0
+        assert _bucket_runs(binomial(2, Fraction(1, 2)))[0].sum() == 0
 
 
 # the `sampling` benchmark pool's eight shapes: classical Poisson, classical
@@ -271,10 +279,10 @@ class TestSampleCounts:
 
     def test_the_covered_buckets_are_ambiguous(self):
         # the oracle cases above reach both kinds of ambiguous bucket
-        _, ambiguous = _guide_table(poisson(2))
+        ambiguous = _bucket_runs(poisson(2))[0]
         table = _cumulative_table(poisson(2))
         assert ambiguous[-1] and ((table > 1 - 2.0**-12) & (table < 1.0)).sum() > 1
-        _, ambiguous = _guide_table(binomial(2000, Fraction(1, 3)))
+        ambiguous = _bucket_runs(binomial(2000, Fraction(1, 3)))[0]
         assert ambiguous[0] and (_cumulative_table(binomial(2000, Fraction(1, 3))) < 2.0**-12).sum() > 100
 
     def test_no_draws_give_no_counts(self):

@@ -36,3 +36,11 @@ def test_every_traced_name_resolves():
             if not found:
                 missing.append(f"{module_name}.{name}")
     assert not missing, f"traced names gone from lahbell: {missing}"
+
+
+def test_the_cdf_cache_reports_its_hits():
+    # the tracer's montecarlo.cdf_cache_hit_ratio reads the LRU statistics of
+    # the traced cumulative table
+    montecarlo = importlib.import_module("lahbell.montecarlo")
+    assert "_cumulative_table" in _load_tracing().TRACED["montecarlo.cdf"][1]
+    assert callable(getattr(montecarlo._cumulative_table, "cache_info", None))
