@@ -33,6 +33,7 @@ from .exact_core import (
     LAH_TRIANGLE,
     STIRLING2_TRIANGLE,
     RationalLike,
+    _degenerate_exp_power,
     _float,
     _float_exp,
     as_rational,
@@ -174,8 +175,9 @@ class DegenerateBinomial:
         for i, x in enumerate(nums):
             # a zero mass adds nothing, and exp(0 * t) is 1 at an infinite t too
             if x:
-                total += (_float_exp(i * t_float) if i else 1.0) * (x / den)
-        if math.isinf(total):
+                total += (_float_exp(i * t_float) if i else 1.0) * _float(Fraction(x, den))
+        # a mass past the float range is an infinity, and two of them may make nan
+        if not math.isfinite(total) and not math.isnan(t_float):
             raise DomainError("result outside the float range")
         return total
 
@@ -235,14 +237,14 @@ class DegeneratePoisson:
         With lam = 1/m and alpha = a/b the mass is the binomial one,
         C(m,i) a**i (m*b)**(m-i) / (m*b + a)**m, computed without the table.
         On an infinite support the mass is the normalizer e_lam(alpha)**-1
-        times the exact ratio alpha**i (1)_{i,lam} / i!. An `lgamma` bound on
-        log|mass| comes first: when it lies more than 1 below the log of the
-        least subnormal, the mass rounds to zero, and a zero with the sign of
-        (1)_{i,lam} is returned without building the ratio. When the
-        normalizer or the ratio lies outside the normal float range
-        (exp(-alpha) is subnormal past alpha ~ 708), their logs are added
-        instead, the ratio's through `math.log` on its integer parts, and the
-        ratio's sign is kept.
+        times the exact ratio alpha**i (1)_{i,lam} / i!, with the log of the
+        normalizer the degenerate exponential's own power. An `lgamma` bound on
+        log|mass| (at 2**1000 for an index past it) comes first: more than 1
+        below the log of the least subnormal, a zero with the sign of
+        (1)_{i,lam} is returned without building the ratio; an index past
+        2**1000 gets no other answer but DomainError. When the normalizer or
+        the ratio lies outside the normal float range, their logs are added,
+        the ratio's through `math.log` on its integer parts, its sign kept.
         """
         if i < 0:
             raise ValueError("index must be nonnegative")
@@ -252,26 +254,26 @@ class DegeneratePoisson:
                 return Fraction(0)
             a, b = self.alpha.numerator, self.alpha.denominator
             return Fraction(math.comb(m, i) * a**i * (m * b) ** (m - i), (m * b + a) ** m)
-        normalizer = degenerate_exp_eval(-1, self.alpha, self.lam)
-        # log e_lam(alpha)**-1 is -log(1 + lam*alpha)/lam; a subnormal float(lam)
-        # keeps too few bits to divide by, so there (and at lam = 0) it is
-        # -alpha * log1p(z)/z with z = lam*alpha, the ratio 1 where z rounds to 0
-        if abs(float(self.lam)) >= sys.float_info.min:
-            log_normalizer = -math.log1p(float(self.lam * self.alpha)) / float(self.lam)
-        else:
-            z = float(self.lam * self.alpha)
-            log_normalizer = -float(self.alpha) * (math.log1p(z) / z if z else 1.0)
+        log_normalizer = _degenerate_exp_power(-1, self.alpha, self.lam)
+        normalizer = _float_exp(log_normalizer)
         # the factors 1 - j*lam of (1)_{i,lam} are negative exactly for j > 1/lam
         negative_factors = max(i - 1 - self.lam.denominator // self.lam.numerator, 0) if self.lam else 0
         sign = -1.0 if negative_factors % 2 else 1.0
-        if _log_abs_mass_bound(self.alpha, self.lam, i, log_normalizer) < _LOG_LEAST_SUBNORMAL - 1:
+        # lgamma has a float up to 2**1000, and |mass_{j+1} / mass_j| =
+        # alpha |1 - j*lam| / (j + 1) < 1 for j >= alpha, as alpha*lam < 1
+        probe = min(i, 2**1000)
+        if (probe == i or self.alpha <= probe) and (
+            _log_abs_mass_bound(self.alpha, self.lam, probe, log_normalizer) < _LOG_LEAST_SUBNORMAL - 1
+        ):
             return math.copysign(0.0, sign)
+        if probe < i:
+            raise DomainError("a mass past index 2**1000 is computed only where it underflows")
         ratio = self.alpha**i * degenerate_falling_factorial(1, i, self.lam) / math.factorial(i)
         tiny, huge = sys.float_info.min, sys.float_info.max
         if normalizer >= tiny and tiny <= abs(ratio) <= huge:
             return normalizer * float(ratio)
         log_ratio = math.log(abs(ratio.numerator)) - math.log(ratio.denominator)
-        return sign * math.exp(log_ratio + log_normalizer)
+        return sign * _float_exp(log_ratio + log_normalizer)
 
     def masses(self) -> list[Fraction]:
         """Exact mass table; only defined for finite support."""
@@ -280,7 +282,7 @@ class DegeneratePoisson:
 
     def _float_mass_stream(self) -> Iterator[float]:
         """Infinite-support masses, built incrementally in float."""
-        alpha = float(self.alpha)
+        alpha = _float(self.alpha)
         lam = float(self.lam)
         mass = degenerate_exp_eval(-1, self.alpha, self.lam)
         i = 0
@@ -378,9 +380,10 @@ def _log_abs_mass_bound(alpha: Fraction, lam: Fraction, i: int, log_normalizer: 
     gamma ratio is Gamma(q + x + 1) / Gamma(q + x + 1 - h) over the first
     h = min(i, q + 1) factors, which are positive, times Gamma(i - q - x) /
     Gamma(1 - x) over the rest; every argument is positive, and x = r/c and
-    1 - x = (c - r)/c come from exact integers, so a factor close to zero
-    keeps its relative accuracy. Their float error is covered by adding
-    1e-12 of the terms' sizes.
+    1 - x = (c - r)/c come from exact integers; a divisor Gamma(z) is taken
+    as Gamma(z + 1) / z with log z from z's integer parts, so a factor close
+    to zero keeps its relative accuracy, even below the float range. Their
+    float error is covered by adding 1e-12 of the terms' sizes.
     """
     terms = [i * (math.log(alpha.numerator) - math.log(alpha.denominator)), -math.lgamma(i + 1), log_normalizer]
     if lam:
@@ -388,15 +391,17 @@ def _log_abs_mass_bound(alpha: Fraction, lam: Fraction, i: int, log_normalizer: 
         q, r = divmod(e, c)
         head = min(i, q + 1)
         try:
-            terms += [i * (math.log(c) - math.log(e)), math.lgamma(q + 1 + r / c), -math.lgamma(q + 1 - head + r / c)]
+            terms += [i * (math.log(c) - math.log(e)), math.lgamma(q + 1 + r / c), -math.lgamma(q + 2 - head + r / c)]
+            terms.append(math.log((q + 1 - head) * c + r) - math.log(c))
         except OverflowError:
             # 1/lam or its lgamma has no float (lam below about 4e-306), so
             # i <= q + 1 and every factor 1 - j*lam lies in (0, 1]: their log
             # is at most 0, so the bound holds without it
             pass
         if i > q + 1:
-            terms += [math.lgamma(i - q - 1 + (c - r) / c), -math.lgamma((c - r) / c)]
-    return math.fsum(terms) + 1e-12 * sum(map(abs, terms))
+            terms += [math.lgamma(i - q - 1 + (c - r) / c), math.log(c - r) - math.log(c), -math.lgamma(2 - r / c)]
+    # a log normalizer of -inf (alpha with no float) outweighs the rest at i <= 2**1000
+    return math.fsum(terms) + 1e-12 * sum(abs(term) for term in terms if term > -math.inf)
 
 
 def _pgf_argument(t: RationalLike) -> Fraction:

@@ -5,8 +5,8 @@ degenerate factor product accumulates one integer sequence,
 `degenerate_factors`: as integer prefixes, Fraction prefixes, or one product
 reduced once. The Lah and Stirling triangles are built row by row from their
 recurrences and cached; the closed form for Lah numbers is kept around as an
-independent cross-check. Floating point appears only in
-`degenerate_exp_eval`, which is an explicit evaluation boundary.
+independent cross-check. Exact values become floats through `_float` (+-inf
+past the float range), and float logs become results through `_float_exp`.
 """
 
 from __future__ import annotations
@@ -227,35 +227,35 @@ def stirling2(n: int, k: int) -> int:
 
 
 def degenerate_exp_eval(x: RationalLike, t: RationalLike, lam: RationalLike) -> float:
-    """(1 + lam*t) ** (x/lam) as a float; exp(x*t) in the lam = 0 limit.
+    """(1 + lam*t) ** (x/lam) as a float, exp(x*t) at lam = 0; 0.0 below the float range, DomainError past it."""
+    return _float_exp(_degenerate_exp_power(x, t, lam))
 
-    The power is exp((x/lam) * log1p(lam*t)): float(1 + lam*t) would round to
-    1.0 once lam*t < 2**-53 and lose the base as lam -> 0. Where x/lam has no
-    float, the same exponent is taken as x*t * log1p(z)/z with z = lam*t, and
-    the ratio as 1 where z rounds to 0: the lam -> 0 limit to float precision.
-    A base with no float takes its log from its integer parts. A value past
-    the float range raises DomainError; one below it is 0.0.
+
+def _degenerate_exp_power(x: RationalLike, t: RationalLike, lam: RationalLike) -> float:
+    """The float log of (1 + lam*t) ** (x/lam), (x/lam) * log1p(lam*t), possibly infinite; x*t at lam = 0.
+
+    float(1 + lam*t) would round to 1.0 once lam*t < 2**-53. Where x/lam has no
+    float, the power is x*t * log1p(z)/z with z = lam*t, and the ratio 1 where
+    z rounds to 0: the lam -> 0 limit to float precision. A base with no float,
+    or one so small that z rounds to -1, takes its log from its integer parts.
     """
-    x = as_rational(x)
-    t = as_rational(t)
-    lam = as_rational(lam)
+    x, t, lam = map(as_rational, (x, t, lam))
     if lam == 0:
-        return _float_exp(_float(x * t))
+        return _float(x * t)
     base = 1 + lam * t
     if base <= 0:
         raise DomainError(f"degenerate exponential needs 1 + lam*t > 0, got {format_rational(base)}")
     z = _float(lam * t)
-    if z == math.inf:  # a base past the float range: take its log from its integer parts
-        return _float_exp(_float(x / lam) * (math.log(base.numerator) - math.log(base.denominator)))
-    try:
-        exponent = float(x / lam)
-    except OverflowError:
-        return _float_exp(_float(x * t) * (math.log1p(z) / z if z else 1.0))
-    return _float_exp(exponent * math.log1p(z))
+    if not -1.0 < z < math.inf:  # log1p cannot take the base: take its log from its integer parts
+        return _float(x / lam) * (math.log(base.numerator) - math.log(base.denominator))
+    exponent = _float(x / lam)
+    if math.isinf(exponent):
+        return _float(x * t) * (math.log1p(z) / z if z else 1.0)
+    return exponent * math.log1p(z)
 
 
-def _float(q: Fraction) -> float:
-    """float(q), or an infinity of q's sign past the float range."""
+def _float(q: Union[Fraction, int, float]) -> float:
+    """float(q) of an exponent, argument or threshold, or an infinity of q's sign past the float range."""
     try:
         return float(q)
     except OverflowError:
@@ -263,7 +263,7 @@ def _float(q: Fraction) -> float:
 
 
 def _float_exp(power: float) -> float:
-    """math.exp(power): 0.0 below the float range, DomainError past it."""
+    """math.exp(power) as a result: 0.0 below the float range, DomainError past it."""
     try:
         if (value := math.exp(power)) != math.inf:  # nan passes through
             return value
@@ -274,9 +274,7 @@ def _float_exp(power: float) -> float:
 
 def degenerate_exp_exact(x: RationalLike, t: RationalLike, lam: RationalLike) -> Fraction:
     """Exact value of the degenerate exponential when the exponent x/lam is an integer."""
-    x = as_rational(x)
-    t = as_rational(t)
-    lam = as_rational(lam)
+    x, t, lam = map(as_rational, (x, t, lam))
     if lam == 0:
         if x * t == 0:
             return Fraction(1)

@@ -55,6 +55,8 @@ from .exact_core import (
     LAH_TRIANGLE,
     STIRLING1_TRIANGLE,
     STIRLING2_TRIANGLE,
+    _float,
+    _float_exp,
     as_rational,
     format_rational,
     lah_number_closed_form,
@@ -233,10 +235,9 @@ def z_score(estimate: float, standard_error: float, target: Union[Fraction, floa
     """(estimate - target) / standard_error; with a zero standard error, 0
     when the estimate hits the target exactly and infinity otherwise.
     DomainError when the target has no float."""
-    try:
-        target = float(target)
-    except OverflowError:
-        raise DomainError("target outside the float range") from None
+    target = _float(target)
+    if math.isinf(target):
+        raise DomainError("target outside the float range")
     if standard_error == 0:
         return 0.0 if estimate == target else math.inf
     return (estimate - target) / standard_error
@@ -262,21 +263,21 @@ def _sqrt_ratio(num: int, den: int) -> float:
     return float(root << shift) if shift >= 0 else root / (1 << -shift)
 
 
-def _exact_mean_and_error(counts: list[int], numerators: list[int], scale: int = 1) -> tuple[float, float]:
-    """Sample mean and the standard error of that mean (ddof = 1) of the
-    values v_k / scale, v_k = numerators[k], value k drawn c_k = counts[k] times.
+def _exact_mean_and_error(counts: list[int], numerators: list[int], scale: int = 1, factor: int = 1) -> tuple[float, float]:
+    """Sample mean and the standard error of that mean (ddof = 1) of the values
+    v_k * factor / scale, v_k = numerators[k], value k drawn c_k = counts[k] times.
 
     With n = sum c_k and the integer sums s1 = sum c_k v_k, s2 = sum c_k v_k**2,
-    the mean is s1 / (n scale) and the error sqrt((n s2 - s1**2) / (n**2 (n - 1)
-    scale**2)), each an exact rational rounded once; DomainError when one is
-    past the float range.
+    the mean is s1 factor / (n scale) and the error sqrt((n s2 - s1**2)
+    factor**2 / (n**2 (n - 1) scale**2)), each an exact rational rounded once;
+    DomainError when one is past the float range.
     """
     n = sum(counts)
     weighted = list(map(operator.mul, counts, numerators))
     s1 = sum(weighted)
     s2 = sum(map(operator.mul, weighted, numerators))
     try:
-        return s1 / (n * scale), _sqrt_ratio(n * s2 - s1 * s1, n * n * (n - 1) * scale * scale)
+        return s1 * factor / (n * scale), _sqrt_ratio((n * s2 - s1 * s1) * factor**2, n * n * (n - 1) * scale**2)
     except OverflowError:
         raise DomainError("sample mean or its standard error is outside the float range") from None
 
@@ -396,7 +397,7 @@ def _exact_report(identity: str, params: Mapping[str, object], lhs: Fraction | i
         lhs=lhs_text,
         # equal rationals have the same canonical text
         rhs=lhs_text if equal else format_rational(rhs),
-        discrepancy="0" if equal else repr(float(abs(lhs - rhs))),
+        discrepancy="0" if equal else repr(_float(abs(lhs - rhs))),
         status="PASS" if equal else "FAIL",
     )
 
@@ -472,10 +473,7 @@ def _typed_params(tag: str, keys: frozenset[str], params: Mapping[str, object]) 
 def _z_bound(value: object) -> float:
     """`z_threshold` as a float; it must be a non-bool int or float >= 0, inf included."""
     if isinstance(value, (int, float)) and not isinstance(value, bool) and value >= 0:
-        try:
-            return float(value)
-        except OverflowError:  # an int past the float range
-            return math.inf
+        return _float(value)
     raise DomainError(f"z_threshold must be a nonnegative number, got {value!r}")
 
 
@@ -661,15 +659,13 @@ for _kind in MomentKind:
 @_identity("poisson-pgf", "alpha", "t", mode="STATISTICAL")
 def _check_poisson_pgf(alpha, t, samples, stream):
     u = _pgf_argument(t)
-    try:
-        target = math.exp(float(alpha) * (float(u) - 1.0))
-    except OverflowError:
-        raise DomainError("the target exp(alpha (u - 1)) is outside the float range") from None
+    target = _float_exp(_float(alpha) * (_float(u) - 1.0))
     counts = _sample_counts(poisson(alpha), samples, stream)
-    # u**k = p**k q**(top - k) / q**top for u = p/q
+    # u**k = p**(k - low) q**(top - k) p**low / q**top for u = p/q, only for drawn k in low..top
     p, q, top = u.numerator, u.denominator, len(counts) - 1
-    numerators = [p**k * q ** (top - k) for k in range(top + 1)]
-    estimate, standard_error = _exact_mean_and_error(counts, numerators, q**top)
+    low = next(k for k, c in enumerate(counts) if c)
+    numerators = [p ** (k - low) * q ** (top - k) if c else 0 for k, c in enumerate(counts[low:], low)]
+    estimate, standard_error = _exact_mean_and_error(counts[low:], numerators, q**top, p**low)
     return estimate, standard_error, target
 
 

@@ -311,6 +311,13 @@ class TestSimulate:
         assert (code, out) == (4, "")
         assert "significant bits" in err
 
+    def test_alpha_with_no_float_exits_4(self, capsys):
+        # float(alpha) raised a bare OverflowError (exit 1 with a traceback);
+        # the start mass exp(-alpha) is now 0.0, refused as at alpha 745
+        code, out, err = run_cli(capsys, "simulate", "--dist", "poisson", "--alpha", "1e400", "--samples", "10")
+        assert (code, out) == (4, "")
+        assert "start mass exp(-alpha) = 0.0" in err and "Traceback" not in err
+
     def test_alpha_716_poisson_stdout_digest(self, capsys):
         # the largest integer alpha that still samples; stdout pinned before
         # the start-mass bound went in, re-pinned when the reduction became

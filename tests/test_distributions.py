@@ -352,6 +352,12 @@ class TestDegenerateBinomialGeneratingFunctions:
         assert d.mgf(-1000) == d.mgf(-(10**400)) == 0.25
         # a zero mass adds nothing, however large its exponential
         assert DegenerateBinomial(2, Fraction(0), Fraction(0)).mgf(1000) == 1.0
+        # masses near +-1e400 (the normalizer holds 1 - 3*lam = -10**-400): the
+        # float division of a mass raised a bare OverflowError
+        huge_masses = DegenerateBinomial(4, Fraction(1, 2), Fraction(10**400 + 1, 3 * 10**400))
+        for t in (0, 1, Fraction(-1, 2)):
+            with pytest.raises(DomainError, match="outside the float range"):
+                huge_masses.mgf(t)
 
     def test_mgf_at_nan_is_nan(self):
         assert math.isnan(DegenerateBinomial(2, Fraction(1, 2), Fraction(0)).mgf(math.nan))
@@ -441,6 +447,46 @@ class TestDegeneratePoissonPmf:
         d = DegeneratePoisson(Fraction(1), Fraction(3, 10**320))
         assert d.pmf(3) == pytest.approx(math.exp(-1) / 6, rel=1e-15)
         assert d.pgf(Fraction(1, 2)) == pytest.approx(math.e, rel=1e-15)
+
+    def test_alpha_or_index_with_no_float(self):
+        # each raised a bare OverflowError: float(alpha) or float(1/lam) in the
+        # log normalizer, or the index in the zero bound (lgamma overflowed at
+        # 10**307); every mass lies below the least subnormal, so each is a
+        # zero with the sign of (1)_{i,lam}
+        signed = DegeneratePoisson(Fraction(1, 2), Fraction(2, 5))
+        zeros = [
+            (poisson(5), 10**400, 1.0),
+            (poisson(5), 10**310, 1.0),
+            (poisson(5), 10**307, 1.0),
+            (signed, 10**400, -1.0),
+            (signed, 10**307, -1.0),
+            (poisson(10**400), 3, 1.0),
+            (poisson(10**309), 0, 1.0),
+            (DegeneratePoisson(10**400, Fraction(3, 10**401)), 0, 1.0),
+        ]
+        for d, i, sign in zeros:
+            mass = d.pmf(i)
+            assert mass == 0 and math.copysign(1.0, mass) == sign, (d, i)
+        assert next(poisson(10**400)._float_mass_stream()) == 0.0
+        # past alpha the masses shrink, so an index past 2**1000 is bounded by
+        # the mass there; this one is near 4e-201, and no bound shows it zero
+        with pytest.raises(DomainError):
+            poisson(10**400).pmf(10**400)
+        assert poisson(2**999).pmf(2**1000 + 1) == 0.0
+
+    def test_lam_just_past_a_unit_fraction(self):
+        # 1/lam = q + x with x or 1 - x about 10**-400: the float x/c rounded
+        # to 0.0 and lgamma(0.0) in the zero bound raised a bare ValueError.
+        # The factor 1 - q*lam (or 1 - (q + 1)*lam) is that small, so each
+        # mass is a zero with the sign of (1)_{i,lam}
+        c = 10**400
+        cases = [(Fraction(c, 2 * c + 1), 3, 1.0), (Fraction(c, 2 * c + 1), 5, 1.0),
+                 (Fraction(c, 3 * c - 1), 4, -1.0), (Fraction(c, 3 * c - 1), 6, -1.0)]
+        for lam, i, sign in cases:
+            mass = DegeneratePoisson(1, lam).pmf(i)
+            assert mass == 0 and math.copysign(1.0, mass) == sign, (lam, i)
+        # below the tiny factor the mass is (2/3)(1/3)/6 times (4/3)**-3
+        assert DegeneratePoisson(1, Fraction(c, 3 * c - 1)).pmf(3) == pytest.approx(1 / 64, rel=1e-12)
 
     def test_subnormal_lam_on_the_log_path(self):
         # exp(-800) underflows, so pmf adds the log normalizer; dividing by the

@@ -244,6 +244,15 @@ class TestDegenerateExponential:
             assert degenerate_exp_eval(1, Fraction(1, 2), lam) == pytest.approx(math.exp(0.5), rel=1e-15), lam
         assert degenerate_exp_eval(0, 1, Fraction(3, 10**320)) == 1.0
 
+    def test_base_that_rounds_lam_t_to_minus_one(self):
+        # 1 + lam*t = 10**-400 > 0, but float(lam*t) is -1.0 and log1p(-1.0)
+        # raised a bare ValueError; the base's log now comes from its integers
+        lam = Fraction(10**400 - 1, 10**400)
+        assert degenerate_exp_eval(Fraction(-1, 2), -1, lam) == pytest.approx(1e200, rel=1e-13)
+        assert degenerate_exp_eval(1, -1, lam) == 0.0
+        with pytest.raises(DomainError, match="outside the float range"):
+            degenerate_exp_eval(-1, -1, lam)
+
     def test_lam_zero_is_exp(self):
         assert degenerate_exp_eval(2, Fraction(1, 2), 0) == pytest.approx(math.e, rel=1e-12)
 

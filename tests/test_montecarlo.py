@@ -35,7 +35,7 @@ from lahbell import (
 )
 from lahbell import montecarlo, polynomials
 from lahbell.distributions import _pgf_argument, moment
-from lahbell.exact_core import LAH_TRIANGLE, STIRLING1_TRIANGLE, STIRLING2_TRIANGLE
+from lahbell.exact_core import LAH_TRIANGLE, STIRLING1_TRIANGLE, STIRLING2_TRIANGLE, degenerate_exp_eval
 from lahbell.polynomials import (
     RationalPolynomial,
     bell_polynomial,
@@ -479,6 +479,55 @@ class TestZScore:
             verify_identity("poisson-raw-moment", {"alpha": 2, "order": 215}, samples=1000)
 
 
+HUGE = 10**400
+huge_rationals = st.builds(Fraction, st.integers(-HUGE, HUGE), st.integers(1, HUGE))
+huge_positives = st.builds(Fraction, st.integers(1, HUGE), st.integers(1, HUGE))
+# |t| < 1 for the generating functions
+huge_units = st.builds(lambda a, gap: Fraction(a, abs(a) + gap), st.integers(-HUGE, HUGE), st.integers(1, HUGE))
+# 0, or c/e in lowest terms with c > 1: never a finite support, whose exact
+# table at a huge e is the size problem of ROADMAP 3(b), not a float one
+infinite_lams = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(lambda c, gap: Fraction(c, c + gap), st.integers(2, HUGE), st.integers(1, HUGE)).filter(
+        lambda lam: lam.numerator > 1
+    ),
+)
+
+
+class TestFloatBoundary:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        x=huge_rationals,
+        t=huge_rationals,
+        unit=huge_units,
+        alpha=huge_positives,
+        lam=infinite_lams,
+        i=st.one_of(st.integers(0, 60), st.just(HUGE)),
+        n=st.integers(0, 12),
+        p=st.builds(Fraction, st.integers(0, HUGE), st.integers(1, HUGE)),
+    )
+    def test_a_float_or_a_lahbell_error(self, x, t, unit, alpha, lam, i, n, p):
+        # parts up to 10**400 reach past the float range on every side: each
+        # entry point returns a float or raises a LahBellError, never a bare
+        # OverflowError, and the whole example takes under a second
+        calls = [
+            lambda: degenerate_exp_eval(x, t, lam),
+            lambda: DegeneratePoisson(alpha, lam).pmf(i),
+            lambda: DegeneratePoisson(alpha, lam).pgf(unit),
+            lambda: DegenerateBinomial(n, p / (1 + p), lam).mgf(t),
+            lambda: z_score(1.0, 0.5, x),
+            lambda: verify_identity("poisson-pgf", {"alpha": alpha, "t": unit}, samples=2, stream=SamplerStream(0)),
+        ]
+        start = time.perf_counter()
+        for call in calls:
+            try:
+                result = call()
+            except LahBellError:
+                continue
+            assert isinstance(result, (float, VerificationReport))
+        assert time.perf_counter() - start < 1.0
+
+
 class TestMomentTarget:
     def test_classical_poisson_closed_forms(self):
         d = poisson(2)
@@ -590,6 +639,17 @@ class TestVerifyIdentity:
         for t in (Fraction(1), Fraction(-1), Fraction(3)):
             with pytest.raises(DomainError, match=r"\|t\| < 1"):
                 verify_identity("poisson-pgf", {"alpha": Fraction(1), "t": t}, samples=100)
+
+    def test_poisson_pgf_reduces_a_long_t_quickly(self):
+        # u**k over the common denominator q**top built 350 integers of up to
+        # 280000 digits for a 400-digit t, about 10 s; relative to the least
+        # draw they are small, and p**low / q**top is applied once
+        alpha = Fraction(3 * 10**402 + 7, 10**400 - 3)
+        t = Fraction(-(10**399) - 11, 2 * 10**399 + 13)
+        start = time.perf_counter()
+        report = verify_identity("poisson-pgf", {"alpha": alpha, "t": t}, samples=20, stream=SamplerStream(0))
+        assert time.perf_counter() - start < 2.0
+        assert report.mode == "STATISTICAL" and report.samples == 20
 
     @pytest.mark.parametrize("params", [{"alpha": 2, "t": "999/1000"}, {"alpha": 700, "t": "9/10"}])
     def test_poisson_pgf_past_the_float_range_raises_domain_error(self, params):
@@ -776,6 +836,15 @@ class TestVerifyIdentity:
         assert report.status == "FAIL"
         assert (report.lhs, report.rhs) == (format_rational(worst), "0")
         assert report.discrepancy == repr(float(worst))
+
+    def test_a_gap_with_no_float_reports_inf(self, monkeypatch):
+        # float(abs(lhs - rhs)) raised a bare OverflowError
+        closed_form = montecarlo.lah_number_closed_form
+        monkeypatch.setattr(
+            montecarlo, "lah_number_closed_form", lambda n, k: 10**400 if (n, k) == (4, 2) else closed_form(n, k)
+        )
+        report = verify_identity("lah-closed-form", {"n_max": 6})
+        assert (report.status, report.discrepancy) == ("FAIL", "inf")
 
     def test_lahbell_series_reports_the_worst_gap(self, monkeypatch):
         # L(5, 2) off by 11: the triangle side of order 5 stops matching the
