@@ -237,7 +237,9 @@ def _degenerate_exp_power(x: RationalLike, t: RationalLike, lam: RationalLike) -
     float(1 + lam*t) would round to 1.0 once lam*t < 2**-53. Where x/lam has no
     float, the power is x*t * log1p(z)/z with z = lam*t, and the ratio 1 where
     z rounds to 0: the lam -> 0 limit to float precision. A base with no float,
-    or one so small that z rounds to -1, takes its log from its integer parts.
+    or one below 2**-10 (where log1p of the rounded z loses its digits), takes
+    its log from its integer parts: base / 2**shift in (1/2, 2), rounded once,
+    plus shift * log 2.
     """
     x, t, lam = map(as_rational, (x, t, lam))
     if lam == 0:
@@ -246,8 +248,10 @@ def _degenerate_exp_power(x: RationalLike, t: RationalLike, lam: RationalLike) -
     if base <= 0:
         raise DomainError(f"degenerate exponential needs 1 + lam*t > 0, got {format_rational(base)}")
     z = _float(lam * t)
-    if not -1.0 < z < math.inf:  # log1p cannot take the base: take its log from its integer parts
-        return _float(x / lam) * (math.log(base.numerator) - math.log(base.denominator))
+    if not -1.0 + 2.0**-10 < z < math.inf:
+        shift = base.numerator.bit_length() - base.denominator.bit_length()
+        scaled = (base.numerator << max(-shift, 0)) / (base.denominator << max(shift, 0))
+        return _float(x / lam) * (math.log(scaled) + shift * math.log(2))
     exponent = _float(x / lam)
     if math.isinf(exponent):
         return _float(x * t) * (math.log1p(z) / z if z else 1.0)

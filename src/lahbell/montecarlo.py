@@ -8,9 +8,11 @@ stream_index) through a splittable seed sequence, so identical keys reproduce
 identical draws and distinct indices give independent substreams.
 
 Estimates need only how often each value was drawn. `_sample_counts` counts
-the same draws in fixed blocks of uniforms through a histogram of guide-table
-buckets, never building a per-draw array; it is the only code that reads the
-guide table.
+the same draws in fixed blocks of uniforms, never building a per-draw array:
+it searches only the draws in guide buckets that hold a table entry, and folds
+a histogram of every draw's bucket into per-value counts once per estimate.
+The table and its guide are one cached entry per distribution
+(`_cumulative_table`); only the counter reads the guide.
 
 The moment reduction is exact: every draw is an integer k and every value
 averaged (k**r, (k)_r, k^(r), or u**k for a rational u) is an exact rational,
@@ -56,7 +58,6 @@ from .exact_core import (
     STIRLING1_TRIANGLE,
     STIRLING2_TRIANGLE,
     _float,
-    _float_exp,
     as_rational,
     format_rational,
     lah_number_closed_form,
@@ -124,8 +125,9 @@ class MomentEstimate:
 
 
 @lru_cache(maxsize=256)
-def _cumulative_table(d: Distribution) -> np.ndarray:
-    """Float cumulative masses for inverse-CDF sampling.
+def _cumulative_table(d: Distribution) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(table, ambiguous, slot): the float cumulative masses for inverse-CDF
+    sampling, and their guide table. The one sampler cache per distribution.
 
     Finite supports: the exact masses must sum to 1 before any float is
     produced; each entry is an integer prefix sum of the mass table's
@@ -133,6 +135,12 @@ def _cumulative_table(d: Distribution) -> np.ndarray:
     (classical Poisson) are truncated once coverage reaches
     1 - TAIL_COVERAGE_GAP and the last bucket is renormalized to absorb the
     tail; a start mass exp(-alpha) below 2**-1034 raises TailError at once.
+
+    The guide splits [0, 1) into the buckets [j/B, (j+1)/B), B = 2**_GUIDE_BITS.
+    A bucket with no table entry strictly inside it draws the same value for
+    every u in it, the count of entries <= j/B, and that is slot[j];
+    `ambiguous` marks the other buckets, whose slot is len(table), a count
+    that is discarded.
     """
     analysis = analyze_support(d)
     if not analysis.all_nonnegative:
@@ -162,8 +170,13 @@ def _cumulative_table(d: Distribution) -> np.ndarray:
             raise TailError(f"could not reach coverage {target} within {_TABLE_BUDGET} entries")
     cumulative[-1] = 1.0
     table = np.array(cumulative)
-    table.setflags(write=False)
-    return table
+    edges = np.arange((1 << _GUIDE_BITS) + 1) / (1 << _GUIDE_BITS)
+    slot = np.searchsorted(table, edges[:-1], side="right")
+    ambiguous = slot != np.searchsorted(table, edges[1:], side="left")
+    slot[ambiguous] = len(table)
+    for array in (table, ambiguous, slot):
+        array.setflags(write=False)
+    return table, ambiguous, slot
 
 
 def draw_samples(d: Distribution, count: int, stream: SamplerStream) -> np.ndarray:
@@ -171,7 +184,7 @@ def draw_samples(d: Distribution, count: int, stream: SamplerStream) -> np.ndarr
     uniform u; consumes `count` uniforms from the stream."""
     if count < 0:
         raise ValueError("count must be nonnegative")
-    return np.searchsorted(_cumulative_table(d), stream.uniforms(count), side="right")
+    return np.searchsorted(_cumulative_table(d)[0], stream.uniforms(count), side="right")
 
 
 def sample(d: Distribution, stream: SamplerStream) -> int:
@@ -179,54 +192,31 @@ def sample(d: Distribution, stream: SamplerStream) -> int:
     return int(draw_samples(d, 1, stream)[0])
 
 
-@lru_cache(maxsize=256)
-def _bucket_runs(d: Distribution) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(ambiguous, starts, slots): the guide buckets cut into runs for `np.add.reduceat`.
-
-    The guide splits [0, 1) into the buckets [j/B, (j+1)/B), B = 2**_GUIDE_BITS;
-    guide[j] counts the table entries <= j/B. A bucket with no entry strictly
-    inside it has that count for every u in it, so guide[j] is the draw;
-    `ambiguous` marks the buckets where it is not. A run is a maximal stretch
-    of unambiguous buckets with one guide value, and its slot is that value;
-    the guide is nondecreasing and steps up across every ambiguous bucket, so
-    no two runs share a slot. Each ambiguous bucket is a run of its own with
-    the slot len(table), which is discarded.
-    """
-    table = _cumulative_table(d)
-    edges = np.arange((1 << _GUIDE_BITS) + 1) / (1 << _GUIDE_BITS)
-    guide = np.searchsorted(table, edges[:-1], side="right")
-    ambiguous = guide != np.searchsorted(table, edges[1:], side="left")
-    slots = np.where(ambiguous, len(table), guide)
-    starts = np.flatnonzero(np.diff(slots, prepend=-1) | ambiguous)
-    slots = slots[starts]
-    for array in (ambiguous, starts, slots):
-        array.setflags(write=False)
-    return ambiguous, starts, slots
-
-
 def _sample_counts(d: Distribution, count: int, stream: SamplerStream) -> list[int]:
     """np.bincount(draw_samples(d, count, stream)).tolist(), without a per-draw array.
 
     The stream fills one reused buffer with blocks of at most _BLOCK
     uniforms. A block's draws in ambiguous buckets are searched and counted;
-    its other draws are counted through a histogram of their buckets, which
-    the runs of `_bucket_runs` fold into per-value counts.
+    every draw is also counted in a histogram of its bucket, which the guide's
+    slots fold into per-value counts once, after the last block.
     """
     if count == 0:
         return []
-    table = _cumulative_table(d)
-    ambiguous, starts, slots = _bucket_runs(d)
+    table, ambiguous, slot = _cumulative_table(d)
     u = np.empty(min(count, _BLOCK))
     buckets = np.empty(len(u), dtype=np.intp)
+    counts = np.zeros(len(table) + 1, dtype=np.intp)
+    histogram = np.zeros(1 << _GUIDE_BITS, dtype=np.intp)
     for done in range(0, count, _BLOCK):
         # the whole buffers, except for a shorter last block
         block, index = u[: count - done], buckets[: count - done]
         stream.fill(block)
         # scaling by a power of two is exact, so u lands in its true bucket
         np.multiply(block, 1 << _GUIDE_BITS, out=index, casting="unsafe")
-        found = np.bincount(np.searchsorted(table, block[ambiguous[index]], side="right"), minlength=len(table) + 1)
-        found[slots] += np.add.reduceat(np.bincount(index, minlength=1 << _GUIDE_BITS), starts)
-        counts = counts + found if done else found
+        counts += np.bincount(np.searchsorted(table, block[ambiguous[index]], side="right"), minlength=len(counts))
+        histogram += np.bincount(index, minlength=len(histogram))
+    # ambiguous buckets land in the last count, len(table), which is discarded
+    np.add.at(counts, slot, histogram)
     drawn = counts[:-1].nonzero()[0]
     return counts[: drawn[-1] + 1].tolist()
 
@@ -659,8 +649,9 @@ for _kind in MomentKind:
 @_identity("poisson-pgf", "alpha", "t", mode="STATISTICAL")
 def _check_poisson_pgf(alpha, t, samples, stream):
     u = _pgf_argument(t)
-    target = _float_exp(_float(alpha) * (_float(u) - 1.0))
-    counts = _sample_counts(poisson(alpha), samples, stream)
+    d = poisson(alpha)
+    target = d.pgf(t)  # the closed form exp(alpha (u - 1)), computed before any draw
+    counts = _sample_counts(d, samples, stream)
     # u**k = p**(k - low) q**(top - k) p**low / q**top for u = p/q, only for drawn k in low..top
     p, q, top = u.numerator, u.denominator, len(counts) - 1
     low = next(k for k, c in enumerate(counts) if c)

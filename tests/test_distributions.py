@@ -176,7 +176,7 @@ class TestMassTables:
             if isinstance(d, DegenerateBinomial):
                 parts += [repr(d.mgf(0.7)), repr(d.mgf(Fraction(-1, 5)))]
             if analysis.all_nonnegative:
-                parts.append(repr(_cumulative_table(d).tolist()))
+                parts.append(repr(_cumulative_table(d)[0].tolist()))
         digest = hashlib.sha256("\n".join(parts).encode()).hexdigest()
         assert digest == "146d674c608a30a1a12f91b4dc0ced488993edbff45a61d8a45e700e28dfaa3f"
 

@@ -1,6 +1,8 @@
+import decimal
 import math
 import threading
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -252,6 +254,28 @@ class TestDegenerateExponential:
         assert degenerate_exp_eval(1, -1, lam) == 0.0
         with pytest.raises(DomainError, match="outside the float range"):
             degenerate_exp_eval(-1, -1, lam)
+
+    def test_small_base_keeps_its_digits(self):
+        # float(lam*t) stays above -1 here, but log1p of the rounded z carried
+        # an absolute error near 1e-16 into log(base): 8e-4 relative at 1e-15
+        def reference(x, t, lam):
+            with decimal.localcontext(decimal.Context(prec=60)):
+                base = 1 + lam * t
+                log = (Decimal(base.numerator) / base.denominator).ln()
+                return float((Decimal((x / lam).numerator) / (x / lam).denominator * log).exp())
+
+        cases = [
+            (1, -1, 1 - Fraction(1, 10**15) + Fraction(1, 3 * 10**20)),
+            (1, -1, 1 - Fraction(1, 10**12) + Fraction(1, 3 * 10**17)),
+            (Fraction(-1, 2), -1, 1 - Fraction(1, 10**15) + Fraction(1, 3 * 10**20)),
+            (Fraction(3, 7), Fraction(-5, 4), Fraction(4, 5) - Fraction(1, 7 * 10**9)),
+            (1, -1, 1 - Fraction(1, 2**10) + Fraction(1, 10**9)),  # z = lam*t just below -1 + 2**-10
+            (1, -1, 1 - Fraction(1, 2**10) - Fraction(1, 10**9)),  # just above it: log1p, within 2**-54 / base
+            (2, -1, 1 - Fraction(1, 2**10)),
+        ]
+        for x, t, lam in cases:
+            expected = reference(x, t, lam)
+            assert degenerate_exp_eval(x, t, lam) == pytest.approx(expected, rel=1e-13, abs=0), (x, t, lam)
 
     def test_lam_zero_is_exp(self):
         assert degenerate_exp_eval(2, Fraction(1, 2), 0) == pytest.approx(math.e, rel=1e-12)

@@ -46,7 +46,7 @@ from lahbell.polynomials import (
     lah_bell_series_coefficients,
     lahbell_from_bell,
 )
-from lahbell.montecarlo import _bucket_runs, _cumulative_table, _exact_mean_and_error, _sqrt_ratio, z_score
+from lahbell.montecarlo import _cumulative_table, _exact_mean_and_error, _sqrt_ratio, z_score
 from oracles import degenerate_factor_product, falling_factorial_coefficients, stirling2_explicit
 
 WITNESS = DegenerateBinomial(3, Fraction(1, 10), Fraction(2, 5))
@@ -114,7 +114,7 @@ class TestSamplerStream:
 
 class TestCumulativeTables:
     def test_finite_table_exact_before_floats(self):
-        table = _cumulative_table(DP_HALF)
+        table = _cumulative_table(DP_HALF)[0]
         assert table[-1] == 1.0
         assert len(table) == 3
 
@@ -124,7 +124,7 @@ class TestCumulativeTables:
         assert "index 2" in str(excinfo.value)
 
     def test_poisson_truncation_coverage(self):
-        table = _cumulative_table(poisson(2))
+        table = _cumulative_table(poisson(2))[0]
         assert table[-1] == 1.0
         # the table stops at the first index whose natural cumulative reaches
         # the coverage target, and that last bucket absorbs the tail
@@ -143,12 +143,12 @@ class TestCumulativeTables:
             with pytest.raises(TailError, match="significant bits"):
                 _cumulative_table.__wrapped__(poisson(alpha))
             assert time.perf_counter() - start < 1.0, alpha
-        assert _cumulative_table.__wrapped__(poisson(716))[-1] == 1.0
+        assert _cumulative_table.__wrapped__(poisson(716))[0][-1] == 1.0
 
     def test_large_finite_table_finishes_in_bounded_time(self):
         d = DegenerateBinomial(1500, Fraction(1, 3), Fraction(1, 7919))
         start = time.perf_counter()
-        table = _cumulative_table.__wrapped__(d)  # bypass the cache: time the build
+        table = _cumulative_table.__wrapped__(d)[0]  # bypass the cache: time the build
         # about 0.09 s on a 2-vCPU machine; summing 1501 Fraction masses took 0.9 s
         assert time.perf_counter() - start < 0.6
         nums, den = d._mass_table
@@ -206,7 +206,7 @@ class TestGuidedDraws:
         ids=["binomial-2", "dbinomial-2", "dbinomial-1500", "poisson-716"],
     )
     def test_every_draw_is_the_searchsorted_index(self, d):
-        table = _cumulative_table(d)
+        table = _cumulative_table(d)[0]
         buckets = 1 << montecarlo._GUIDE_BITS
         edges = np.arange(buckets + 1) / buckets
         points = np.concatenate([edges, table])
@@ -228,8 +228,7 @@ class TestGuidedDraws:
 
     def test_only_buckets_holding_an_entry_inside_are_ambiguous(self):
         d = DegenerateBinomial(1500, Fraction(1, 3), Fraction(1, 7919))
-        table = _cumulative_table(d)
-        ambiguous = _bucket_runs(d)[0]
+        table, ambiguous, slot = _cumulative_table(d)
         buckets = 1 << montecarlo._GUIDE_BITS
         assert ambiguous.dtype == bool and len(ambiguous) == buckets
         inside = np.zeros(buckets, dtype=bool)
@@ -238,7 +237,17 @@ class TestGuidedDraws:
                 inside[math.floor(entry * buckets)] = True
         assert np.array_equal(ambiguous, inside)
         assert ambiguous.sum() > 100
-        assert _bucket_runs(binomial(2, Fraction(1, 2)))[0].sum() == 0
+        assert _cumulative_table(binomial(2, Fraction(1, 2)))[1].sum() == 0
+        # an unambiguous bucket's slot is the draw at both of its ends; an
+        # ambiguous one's is len(table), the discarded count
+        for d in (d, binomial(2, Fraction(1, 2)), poisson(2)):
+            table, ambiguous, slot = _cumulative_table(d)
+            assert slot.dtype == np.intp and len(slot) == buckets
+            assert not any(array.flags.writeable for array in (table, ambiguous, slot))
+            clear = np.flatnonzero(~ambiguous)
+            for u in (clear / buckets, np.nextafter((clear + 1) / buckets, 0.0)):
+                assert np.array_equal(np.searchsorted(table, u, side="right"), slot[clear])
+            assert (slot[ambiguous] == len(table)).all()
 
 
 # the `sampling` benchmark pool's eight shapes: classical Poisson, classical
@@ -279,11 +288,10 @@ class TestSampleCounts:
 
     def test_the_covered_buckets_are_ambiguous(self):
         # the oracle cases above reach both kinds of ambiguous bucket
-        ambiguous = _bucket_runs(poisson(2))[0]
-        table = _cumulative_table(poisson(2))
+        table, ambiguous, _ = _cumulative_table(poisson(2))
         assert ambiguous[-1] and ((table > 1 - 2.0**-12) & (table < 1.0)).sum() > 1
-        ambiguous = _bucket_runs(binomial(2000, Fraction(1, 3)))[0]
-        assert ambiguous[0] and (_cumulative_table(binomial(2000, Fraction(1, 3))) < 2.0**-12).sum() > 100
+        table, ambiguous, _ = _cumulative_table(binomial(2000, Fraction(1, 3)))
+        assert ambiguous[0] and (table < 2.0**-12).sum() > 100
 
     def test_no_draws_give_no_counts(self):
         assert montecarlo._sample_counts(poisson(2), 0, SamplerStream(0)) == []
@@ -295,6 +303,24 @@ class TestSampleCounts:
         monkeypatch.setattr(montecarlo, "draw_samples", draw)
         estimate_moment(poisson(2), "raw", 1, 3 * self.BLOCK + 7, SamplerStream(1))
         verify_identity("poisson-pgf", {"alpha": 1, "t": "1/2"}, samples=2000, stream=SamplerStream(1))
+
+    def test_a_warm_estimate_looks_up_the_sampler_cache_once(self):
+        # each lookup hashes the distribution's fields, so a warm estimate makes one
+        estimates = [
+            lambda stream: estimate_moment(poisson(2), "raw", 1, 2000, stream),
+            lambda stream: verify_identity("poisson-pgf", {"alpha": 2, "t": "1/2"}, samples=2000, stream=stream),
+        ]
+        caches = [value for value in vars(montecarlo).values() if hasattr(value, "cache_info")]
+        assert _cumulative_table in caches
+        for estimate in estimates:
+            estimate(SamplerStream(1))
+            before = [cache.cache_info() for cache in caches]
+            estimate(SamplerStream(2))
+            lookups = [
+                (after.hits - old.hits, after.misses - old.misses)
+                for old, after in zip(before, (cache.cache_info() for cache in caches))
+            ]
+            assert lookups == [(1, 0) if cache is _cumulative_table else (0, 0) for cache in caches]
 
     @pytest.mark.parametrize("d", [SAMPLING_POOL[3], binomial(2000, Fraction(1, 3))], ids=["dpoisson", "binomial-2000"])
     def test_partitioned_counts_are_the_workers_counts(self, d, monkeypatch):
