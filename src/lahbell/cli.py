@@ -234,10 +234,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "estimate": estimate.estimate,
         "standard_error": estimate.standard_error,
         "target": format_rational(target),
-        "z": z,
+        # strict JSON has no infinity: "inf" / "-inf", the csv text
+        "z": z if math.isfinite(z) else repr(z),
     }
     if args.format == "json":
-        _emit(json.dumps(record))
+        _emit(json.dumps(record, allow_nan=False))
     else:
         # CSV carries every field but the params map; str(float) == repr(float)
         del record["params"]

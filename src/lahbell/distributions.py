@@ -3,8 +3,8 @@
 Both families take exact rational parameters and reduce to the classical
 binomial / Poisson distributions at lam = 0. Everything over a finite support
 is computed in exact rational arithmetic; floats appear only for irrational
-normalizers (exp, non-integer powers): the infinite-support Poisson `pmf`,
-`pgf` and mass stream, and the binomial `mgf`. Each family supplies the
+normalizers (exp, non-integer powers): the infinite-support Poisson `pmf`
+and `pgf`, and the binomial `mgf`. Each family supplies the
 ratios of consecutive falling factorial moments in closed form, exact for
 every admissible parameter; `moment` turns them into falling, raw or rising
 moments. `moment_direct` and `pgf_direct` are brute force over a finite
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 from .errors import DomainError
 from .exact_core import (
@@ -168,17 +168,23 @@ class DegenerateBinomial:
 
     def mgf(self, t: Union[float, RationalLike]) -> float:
         """Moment generating function at t, a float evaluation boundary;
-        DomainError when it is past the float range."""
+        DomainError when it is past the float range, or when signed terms
+        cancel so far that the float sum keeps less than half its bits."""
         t_float = float(t) if isinstance(t, float) else _float(as_rational(t))
         nums, den = self._mass_table
-        total = 0.0
+        total = size = 0.0
         for i, x in enumerate(nums):
             # a zero mass adds nothing, and exp(0 * t) is 1 at an infinite t too
             if x:
-                total += (_float_exp(i * t_float) if i else 1.0) * _float(Fraction(x, den))
+                term = (_float_exp(i * t_float) if i else 1.0) * _float(Fraction(x, den))
+                total, size = total + term, size + abs(term)
         # a mass past the float range is an infinity, and two of them may make nan
         if not math.isfinite(total) and not math.isnan(t_float):
             raise DomainError("result outside the float range")
+        # the sum's rounding error is up to about n ulps of sum |term|, so
+        # past 2**26 |total| it may reach more than half of total's bits
+        if size > 2**26 * abs(total):
+            raise DomainError("mgf terms cancel: the float sum keeps less than half its bits")
         return total
 
     def pgf(self, t: RationalLike) -> Fraction:
@@ -279,17 +285,6 @@ class DegeneratePoisson:
         """Exact mass table; only defined for finite support."""
         nums, den = self._mass_table
         return [Fraction(x, den) for x in nums]
-
-    def _float_mass_stream(self) -> Iterator[float]:
-        """Infinite-support masses, built incrementally in float."""
-        alpha = _float(self.alpha)
-        lam = float(self.lam)
-        mass = degenerate_exp_eval(-1, self.alpha, self.lam)
-        i = 0
-        while True:
-            yield mass
-            mass = mass * alpha * (1 - i * lam) / (i + 1)
-            i += 1
 
     def mean(self) -> Fraction:
         return self.alpha / (1 + self.alpha * self.lam)

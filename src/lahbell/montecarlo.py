@@ -129,12 +129,12 @@ def _cumulative_table(d: Distribution) -> tuple[np.ndarray, np.ndarray, np.ndarr
     """(table, ambiguous, slot): the float cumulative masses for inverse-CDF
     sampling, and their guide table. The one sampler cache per distribution.
 
-    Finite supports: the exact masses must sum to 1 before any float is
-    produced; each entry is an integer prefix sum of the mass table's
-    numerators over its denominator, rounded once. Infinite supports
-    (classical Poisson) are truncated once coverage reaches
-    1 - TAIL_COVERAGE_GAP and the last bucket is renormalized to absorb the
-    tail; a start mass exp(-alpha) below 2**-1034 raises TailError at once.
+    Each entry is one rounding of an exact value. Finite supports: the exact
+    masses must sum to 1; entry i is their exact prefix sum. The classical
+    Poisson: entry i is exp(-alpha) sum_{j<=i} a**j / j!, a = float(alpha),
+    both floats taken exactly, so the cost does not grow with alpha's digits;
+    it ends at the first entry that reaches 1 - TAIL_COVERAGE_GAP, the last
+    bucket absorbing the tail. A start mass below 2**-1034 raises TailError.
 
     The guide splits [0, 1) into the buckets [j/B, (j+1)/B), B = 2**_GUIDE_BITS.
     A bucket with no table entry strictly inside it draws the same value for
@@ -154,18 +154,20 @@ def _cumulative_table(d: Distribution) -> tuple[np.ndarray, np.ndarray, np.ndarr
             raise ArithmeticError("finite mass table does not sum to 1 exactly")
         cumulative = [acc / den for acc in itertools.accumulate(nums)]
     else:
-        target = 1.0 - TAIL_COVERAGE_GAP
-        cumulative = []
-        acc = 0.0
-        stream = d._float_mass_stream()
-        start = next(stream)
+        target, alpha = 1.0 - TAIL_COVERAGE_GAP, _float(d.alpha)
+        start = math.exp(-alpha)
         if start < _LEAST_START_MASS:
             raise TailError(f"start mass exp(-alpha) = {start!r} has too few significant bits for coverage {target}")
-        for mass in itertools.islice(itertools.chain((start,), stream), _TABLE_BUDGET):
-            acc += mass
-            cumulative.append(acc)
-            if acc >= target:
+        # alpha = a/b, start = m/k: entry i is the int division acc / den of
+        # m sum_{j<=i} a**j b**(i-j) i!/j! by k b**i i!; power is m a**i
+        (a, b), (power, den) = alpha.as_integer_ratio(), start.as_integer_ratio()
+        cumulative, acc = [], power
+        for i in range(1, _TABLE_BUDGET + 1):
+            cumulative.append(acc / den)
+            if cumulative[-1] >= target:
                 break
+            power *= a
+            acc, den = acc * b * i + power, den * b * i
         else:
             raise TailError(f"could not reach coverage {target} within {_TABLE_BUDGET} entries")
     cumulative[-1] = 1.0

@@ -368,6 +368,48 @@ class TestSimulate:
         assert lines[0].startswith("distribution,moment")
         assert lines[1].startswith("binomial,raw")
 
+    def test_infinite_z_is_strict_json(self, capsys, schema):
+        # every draw is 0, so the standard error is 0 and the target 1/1000000
+        # is missed: z is infinite, and json.dumps wrote a bare Infinity,
+        # which strict parsers reject; it is the string "inf", as in csv
+        argv = ("simulate", "--dist", "poisson", "--alpha", "1/1000000", "--samples", "2", "--seed", "1")
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        payload = json.loads(out, parse_constant=refuse)
+        assert (payload["standard_error"], payload["z"]) == (0.0, "inf")
+        jsonschema.validate(payload, schema)
+        code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0 and out.splitlines()[1].endswith(",1/1000000,inf")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("table", "lah", "--n-max", "-1"),
+        ("poly", "bell", "--n", "-1"),
+        ("verify", "stirling", "--trials", "1"),
+        ("simulate", "--dist", "poisson", "--alpha", "2", "--samples", "1"),
+        ("simulate", "--dist", "poisson"),
+        ("simulate", "--dist", "poisson", "--alpha", "abc"),
+        ("simulate", "--dist", "poisson", "--alpha", "1/0"),
+    ],
+    ids=["n-max", "poly-n", "trials", "samples", "no-alpha", "alpha-abc", "alpha-1/0"],
+)
+def test_usage_error_exits_2_with_one_error_line(capsys, argv):
+    # the command's own checks return 2, argparse's exit 2; either way
+    # nothing reaches stdout and stderr holds one error line
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert sum("error:" in line for line in captured.err.splitlines()) == 1
+
 
 class TestParserReuse:
     # one process, one cached parser: flags, defaults and usage errors of one

@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from lahbell import (
     DegenerateBinomial,
@@ -20,6 +20,7 @@ from lahbell import (
     DomainError,
     MomentKind,
     SupportAnalysis,
+    TailError,
     analyze_support,
     bell_from_lahbell_degenerate,
     bell_polynomial,
@@ -41,6 +42,7 @@ from oracles import degenerate_binomial_mass, degenerate_factor_product
 SRC = Path(__file__).resolve().parents[1] / "src"
 WITNESS = DegenerateBinomial(3, Fraction(1, 10), Fraction(2, 5))
 PGF_ARGUMENTS = (Fraction(1, 4), Fraction(-1, 4), Fraction(1, 2), Fraction(-1, 2))
+CANCELLING_MASSES = DegenerateBinomial(4, Fraction(1, 2), Fraction(10**300 + 1, 3 * 10**300))
 
 
 def rel_close(a, b, tol=1e-8):
@@ -362,6 +364,29 @@ class TestDegenerateBinomialGeneratingFunctions:
     def test_mgf_at_nan_is_nan(self):
         assert math.isnan(DegenerateBinomial(2, Fraction(1, 2), Fraction(0)).mgf(math.nan))
 
+    def test_mgf_that_cancels_raises_domain_error(self):
+        # masses near +-1e299 (the normalizer holds 1 - 3*lam = -10**-300)
+        # sum to 1; the float sum lost every bit and gave mgf(0) = 0.0 and
+        # mgf(1e-8) = 9.3e282 without an error, where the true values are 1
+        # and -3.1e266
+        for t in (0, 1e-8, Fraction(-1, 100)):
+            with pytest.raises(DomainError, match="cancel"):
+                CANCELLING_MASSES.mgf(t)
+        # far from 0 the terms do not cancel: mgf(1) is -2.72e299, with an
+        # 80-digit reference of -2.7241286312941526676e299
+        assert CANCELLING_MASSES.mgf(1) == pytest.approx(-2.7241286312941526676e299, rel=1e-14)
+
+    @example(d=CANCELLING_MASSES)
+    @given(d=st.randoms(use_true_random=False).map(random_degenerate_binomial))
+    def test_mgf_at_zero_is_one_or_a_domain_error(self, d):
+        # the float sum keeps half its bits or raises: mgf(0) is 1 within
+        # (n + 1) roundings of 2**-27 each, but not always exactly 1.0
+        try:
+            value = d.mgf(0)
+        except DomainError:
+            return
+        assert abs(value - 1) <= (d.n + 1) * 2**-27
+
 
 class TestDegeneratePoissonConstruction:
     def test_parameter_domains(self):
@@ -467,7 +492,8 @@ class TestDegeneratePoissonPmf:
         for d, i, sign in zeros:
             mass = d.pmf(i)
             assert mass == 0 and math.copysign(1.0, mass) == sign, (d, i)
-        assert next(poisson(10**400)._float_mass_stream()) == 0.0
+        with pytest.raises(TailError, match="significant bits"):
+            _cumulative_table(poisson(10**400))
         # past alpha the masses shrink, so an index past 2**1000 is bounded by
         # the mass there; this one is near 4e-201, and no bound shows it zero
         with pytest.raises(DomainError):
@@ -563,13 +589,14 @@ class TestDegeneratePoissonPmf:
         assert digest == "486d78896f2b14c4160d7ed3c78974759dd5a6091a6484c428a832dd6bce1003"
 
     def test_float_boundary_digest(self):
-        # sha256 of the classical pmf, mass stream and pgf reprs plus four exact
-        # finite pgf values; any change to one of these floats changes it
+        # sha256 of the classical pmf and pgf reprs plus four exact finite pgf
+        # values; any change to one of these floats changes it. Re-pinned from
+        # dc8f6ba5... when the float mass stream, whose reprs it also held,
+        # was deleted; no pmf or pgf value changed
         parts = []
         for alpha in (Fraction(1, 2), Fraction(2), Fraction(37, 3)):
             d = poisson(alpha)
             parts += [repr(d.pmf(i)) for i in range(41)]
-            parts += [repr(mass) for mass in itertools.islice(d._float_mass_stream(), 60)]
             parts += [repr(d.pgf(t)) for t in PGF_ARGUMENTS]
         for alpha, lam in (
             (Fraction(1), Fraction(1, 2)),
@@ -579,7 +606,7 @@ class TestDegeneratePoissonPmf:
         ):
             parts += [repr(DegeneratePoisson(alpha, lam).pgf(t)) for t in PGF_ARGUMENTS]
         digest = hashlib.sha256("\n".join(parts).encode()).hexdigest()
-        assert digest == "dc8f6ba5ee0b6abf23fa44d0f1ec2ef23434c5875ca09e7d1a119576c8efde3b"
+        assert digest == "55fce4eb7d1c745204c717263298f08c8d1d35d60c3b1cc0daf9f35f3f0dda3c"
 
 
 class TestDegeneratePoissonMoments:

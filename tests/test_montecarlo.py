@@ -123,17 +123,23 @@ class TestCumulativeTables:
             _cumulative_table(WITNESS)
         assert "index 2" in str(excinfo.value)
 
-    def test_poisson_truncation_coverage(self):
-        table = _cumulative_table(poisson(2))[0]
+    @pytest.mark.parametrize("alpha", [Fraction(1, 3), Fraction(2), Fraction(37, 3), Fraction(1355, 2), Fraction(716)])
+    def test_poisson_truncation_coverage(self, alpha):
+        # entry i is one rounding of start * sum_{j<=i} a**j / j!, with a =
+        # float(alpha) and start = exp(-alpha), both taken exactly; the table
+        # stops at the first index where that rounding reaches the coverage
+        # target, and that last bucket, set to 1.0, absorbs the tail
+        table = _cumulative_table(poisson(alpha))[0]
+        a = Fraction(float(alpha))
+        start = Fraction(degenerate_exp_eval(-1, alpha, 0))
+        target = 1.0 - montecarlo.TAIL_COVERAGE_GAP
+        partial, term = Fraction(0), Fraction(1)
+        for i, entry in enumerate(table[:-1]):
+            partial += term
+            term *= a / (i + 1)
+            assert entry == float(partial * start) < target, (alpha, i)
+        assert float((partial + term) * start) >= target
         assert table[-1] == 1.0
-        # the table stops at the first index whose natural cumulative reaches
-        # the coverage target, and that last bucket absorbs the tail
-        stream = poisson(2)._float_mass_stream()
-        natural = 0.0
-        for _ in range(len(table)):
-            natural += next(stream)
-        assert natural >= 1.0 - 1e-12
-        assert table[-2] < 1.0 - 1e-12
 
     def test_classical_poisson_start_mass_too_small_raises_tail_error(self):
         # exp(-alpha) below 2**-1034 keeps at most 40 significant bits; alpha
@@ -531,11 +537,13 @@ class TestFloatBoundary:
         i=st.one_of(st.integers(0, 60), st.just(HUGE)),
         n=st.integers(0, 12),
         p=st.builds(Fraction, st.integers(0, HUGE), st.integers(1, HUGE)),
+        whole=st.integers(1, 716),
     )
-    def test_a_float_or_a_lahbell_error(self, x, t, unit, alpha, lam, i, n, p):
+    def test_a_float_or_a_lahbell_error(self, x, t, unit, alpha, lam, i, n, p, whole):
         # parts up to 10**400 reach past the float range on every side: each
         # entry point returns a float or raises a LahBellError, never a bare
-        # OverflowError, and the whole example takes under a second
+        # OverflowError, the classical table ends in 1.0 or raises TailError,
+        # and the whole example takes under a second
         calls = [
             lambda: degenerate_exp_eval(x, t, lam),
             lambda: DegeneratePoisson(alpha, lam).pmf(i),
@@ -551,6 +559,14 @@ class TestFloatBoundary:
             except LahBellError:
                 continue
             assert isinstance(result, (float, VerificationReport))
+        # the classical table walks float(alpha), so its cost does not grow
+        # with the digits of alpha, also where a sampleable alpha (whole +
+        # |unit|, below 717) has long parts; bypass the cache to time the build
+        for table_alpha in (alpha, whole + abs(unit)):
+            try:
+                assert _cumulative_table.__wrapped__(poisson(table_alpha))[0][-1] == 1.0
+            except TailError:
+                pass
         assert time.perf_counter() - start < 1.0
 
 
