@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 identity failure, 2 usage, 3 table cap exceeded,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -30,7 +31,7 @@ from .exact_core import (
     degenerate_falling_factorial,
     format_rational,
 )
-from .montecarlo import SUITES, SamplerStream, estimate_moment, run_suite, z_score
+from .montecarlo import SUITES, SamplerStream, VerificationReport, estimate_moment, run_suite, z_score
 from .polynomials import (
     bell_polynomial,
     degenerate_bell_polynomial,
@@ -87,6 +88,8 @@ def _stirling2_log10(n: int) -> float:
 def cmd_table(args: argparse.Namespace) -> int:
     if args.n_max < 0:
         return _fail("--n-max must be nonnegative", 2)
+    if args.cap < 0:
+        return _fail("--cap must be nonnegative", 2)
     if args.n_max > args.cap:
         return _fail(f"--n-max {args.n_max} exceeds the cap {args.cap}", 3)
     # L(n,1) = n!, |s1(n,1)| = (n-1)! and the n-th Lah-Bell number exceeds n!, so
@@ -124,21 +127,14 @@ def cmd_poly(args: argparse.Namespace) -> int:
         _refuse_digits(_stirling2_log10(args.n), f"polynomial {args.n}")
     if degenerate:
         format_rational(degenerate_falling_factorial(1, args.n, args.lam))
-    if args.family == "bell":
-        poly = bell_polynomial(args.n)
-    elif args.family == "lahbell":
-        poly = lah_bell_polynomial(args.n)
-    elif args.family == "dbell":
-        poly = degenerate_bell_polynomial(args.n, args.lam)
-    else:
-        poly = degenerate_lah_bell_polynomial(args.n, args.lam)
+    # the builders are looked up by name at each call, so they can be wrapped
+    build = {"bell": bell_polynomial, "lahbell": lah_bell_polynomial,
+             "dbell": degenerate_bell_polynomial, "dlahbell": degenerate_lah_bell_polynomial}[args.family]
+    poly = build(args.n, args.lam) if degenerate else build(args.n)
 
     value = None
     if args.eval_at is not None:
-        if poly.variable == "y":
-            value = evaluate_degenerate(poly, args.eval_at, args.lam)
-        else:
-            value = poly.evaluate(args.eval_at)
+        value = evaluate_degenerate(poly, args.eval_at, args.lam) if degenerate else poly.evaluate(args.eval_at)
 
     coefficients = [format_rational(c) for c in poly.coefficients]
     if args.format == "json":
@@ -157,16 +153,6 @@ def cmd_poly(args: argparse.Namespace) -> int:
     return 0
 
 
-_REPORT_CSV_FIELDS = ("identity", "mode", "status", "lhs", "rhs", "discrepancy", "seed", "samples")
-
-
-def _report_csv_line(report) -> str:
-    data = report.to_dict()
-    cells = [str(data.get(field, "")) for field in _REPORT_CSV_FIELDS]
-    cells.append(";".join(f"{k}={v}" for k, v in data["params"].items()))
-    return ",".join(cells)
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.n_max < 0:
         return _fail("--n-max must be nonnegative", 2)
@@ -181,13 +167,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         trials=args.trials,
         z_threshold=args.z_threshold,
     )
-    if args.format == "json":
-        for report in reports:
-            _emit(report.to_json())
-    else:
-        _emit(",".join(_REPORT_CSV_FIELDS + ("params",)))
-        for report in reports:
-            _emit(_report_csv_line(report))
+    if args.format == "csv":
+        _emit(VerificationReport.CSV_HEADER)
+    for report in reports:
+        _emit(report.to_csv() if args.format == "csv" else report.to_json())
     return 1 if any(r.status == "FAIL" for r in reports) else 0
 
 
@@ -208,25 +191,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         dist = _build_distribution(args)
     except DomainError as exc:
         return _fail(str(exc), 2)
-    if args.samples < 2:
-        return _fail("--samples must be at least 2", 2)
     kind = MomentKind(args.moment)
     estimate = estimate_moment(dist, kind, args.order, args.samples, SamplerStream(args.seed, 0))
     target = moment(dist, kind, args.order)
     z = z_score(estimate.estimate, estimate.standard_error, target)
 
-    params = {}
-    if isinstance(dist, DegeneratePoisson):
-        params["alpha"] = format_rational(dist.alpha)
-        params["lambda"] = format_rational(dist.lam)
-    else:
-        params["n"] = str(dist.n)
-        params["p"] = format_rational(dist.p)
-        params["lambda"] = format_rational(dist.lam)
-
     record = {
         "distribution": args.dist,
-        "params": params,
+        "params": {
+            "lambda" if field.name == "lam" else field.name: format_rational(getattr(dist, field.name))
+            for field in dataclasses.fields(dist)
+        },
         "moment": kind.value,
         "order": args.order,
         "samples": args.samples,

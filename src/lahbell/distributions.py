@@ -297,9 +297,9 @@ class DegeneratePoisson:
 
     def _falling_ratios(self, m: int) -> list[tuple[int, int]]:
         """E[(X)_k] / E[(X)_{k-1}] = (1-(k-1)lam) y for k <= m as integer pairs, y = `mean()`:
-        E[(X)_k] = (1)_{k,lam} y**k for every admissible lam (alpha**k at lam = 0;
-        past a finite support's cutoff a zero ratio ends the products)."""
-        units, base = degenerate_factors(1, m, self.lam)
+        E[(X)_k] = (1)_{k,lam} y**k for every admissible lam (alpha**k at lam = 0);
+        E[(X)_k] = 0 past a finite support's cutoff, where the ratios stop."""
+        units, base = degenerate_factors(1, min(m, self.support_cutoff or m), self.lam)
         y = self.mean()
         return [(u * y.numerator, base * y.denominator) for u in units]
 
@@ -414,11 +414,11 @@ def moment(d: Distribution, kind: Union[MomentKind, str], order: int) -> Fractio
     if order < 0:
         raise ValueError("moment order must be nonnegative")
     kind = MomentKind(kind)
+    ratios = d._falling_ratios(order)
     if kind is MomentKind.FALLING:
-        row = (0,) * order + (1,)
+        row = (0,) * len(ratios) + (int(len(ratios) == order),)
     else:
         row = (STIRLING2_TRIANGLE if kind is MomentKind.RAW else LAH_TRIANGLE).row(order)
-    ratios = d._falling_ratios(order)
     num, den = row[len(ratios)], 1
     for c, (r_num, r_den) in zip(reversed(row[: len(ratios)]), reversed(ratios)):
         num, den = c * r_den * den + r_num * num, r_den * den

@@ -63,9 +63,7 @@ def format_rational(value: RationalLike) -> str:
     """
     value = as_rational(value)
     try:
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
+        return str(value)
     except ValueError as exc:
         raise DomainError(f"result too large to print: {exc}") from exc
 

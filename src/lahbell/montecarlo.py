@@ -348,25 +348,22 @@ class VerificationReport:
     seed: Optional[int] = None
     samples: Optional[int] = None
 
+    _CSV_FIELDS = ("identity", "mode", "status", "lhs", "rhs", "discrepancy", "seed", "samples")
+    CSV_HEADER = ",".join(_CSV_FIELDS + ("params",))
+
     def to_dict(self) -> dict:
         """Fields in declaration order, `params` copied; `seed` and `samples` only when set."""
-        data = {
-            "identity": self.identity,
-            "params": dict(self.params),
-            "mode": self.mode,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "discrepancy": self.discrepancy,
-            "status": self.status,
-        }
-        if self.seed is not None:
-            data["seed"] = self.seed
-        if self.samples is not None:
-            data["samples"] = self.samples
-        return data
+        data = {key: value for key, value in vars(self).items() if value is not None}
+        return {**data, "params": dict(self.params)}
 
     def to_json(self) -> str:
         return _COMPACT_JSON.encode(self.to_dict())
+
+    def to_csv(self) -> str:
+        """The row under CSV_HEADER: "" for an unset field, then the params as k=v;..."""
+        data = self.to_dict()
+        cells = [str(data.get(field, "")) for field in self._CSV_FIELDS]
+        return ",".join(cells + [";".join(f"{k}={v}" for k, v in self.params.items())])
 
 
 # the encoder `json.dumps(..., separators=(",", ":"))` builds on every call;

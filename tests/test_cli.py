@@ -390,6 +390,7 @@ class TestSimulate:
     "argv",
     [
         ("table", "lah", "--n-max", "-1"),
+        ("table", "lah", "--n-max", "3", "--cap", "-1"),
         ("poly", "bell", "--n", "-1"),
         ("verify", "stirling", "--trials", "1"),
         ("simulate", "--dist", "poisson", "--alpha", "2", "--samples", "1"),
@@ -397,7 +398,7 @@ class TestSimulate:
         ("simulate", "--dist", "poisson", "--alpha", "abc"),
         ("simulate", "--dist", "poisson", "--alpha", "1/0"),
     ],
-    ids=["n-max", "poly-n", "trials", "samples", "no-alpha", "alpha-abc", "alpha-1/0"],
+    ids=["n-max", "negative-cap", "poly-n", "trials", "samples", "no-alpha", "alpha-abc", "alpha-1/0"],
 )
 def test_usage_error_exits_2_with_one_error_line(capsys, argv):
     # the command's own checks return 2, argparse's exit 2; either way
@@ -482,7 +483,7 @@ class TestPinnedExactOutput:
     # sha256 of the whole stdout of deeper runs. The lahbell suite is all
     # EXACT lines; the dpoisson and all suites also hold the statistical
     # lines, whose floats come from numpy's PCG64 stream for the seed. The
-    # csv runs pin `_report_csv_line`, which reads `VerificationReport.to_dict`.
+    # csv runs pin `VerificationReport.to_csv`.
     @pytest.mark.parametrize(
         "argv, sha256",
         [

@@ -252,6 +252,23 @@ class TestDegenerateBinomialMoments:
         assert variance == n * (n - 1) * p * (p - lam) / (1 - lam) + n * p - (n * p) ** 2
         assert isinstance(rising, Fraction) and rising > 0
 
+    def test_falling_moment_past_n_needs_no_row_of_its_order(self):
+        # the falling row was (0,) * order + (1,): 8 GB at order 10**9, so the
+        # child caps its own address space at 1 GB
+        script = textwrap.dedent("""
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+            from fractions import Fraction
+            from lahbell import binomial, moment
+            print(moment(binomial(5, Fraction(1, 2)), "falling", 10**9))
+        """)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert (result.returncode, result.stdout) == (0, "0\n"), result.stderr
+
     def test_small_n_variance_brute_path(self):
         assert DegenerateBinomial(0, Fraction(1, 2), Fraction(1, 3)).variance() == 0
         d = DegenerateBinomial(1, Fraction(1, 4), Fraction(2, 3))
@@ -635,6 +652,14 @@ class TestDegeneratePoissonMoments:
     def test_falling_moment_is_mean_at_order_one(self):
         d = DegeneratePoisson(Fraction(1), Fraction(1, 2))
         assert d.falling_factorial_moment(1) == Fraction(2, 3)
+
+    def test_falling_moment_past_the_cutoff_is_zero_at_once(self):
+        # E[(X)_k] = 0 for k > 1/lam; walking every factor up to the order
+        # grew one denominator per factor, about 2 s at order 5 * 10**4
+        d = DegeneratePoisson(Fraction(1), Fraction(1, 3))
+        start = time.perf_counter()
+        assert moment(d, "falling", 10**5) == 0
+        assert time.perf_counter() - start < 0.5
 
     def test_rising_moments_match_degenerate_polynomials(self):
         for alpha, m in ((Fraction(1), 2), (Fraction(2), 5), (Fraction(7, 2), 9)):

@@ -951,6 +951,28 @@ class TestVerifyIdentity:
             assert (report.identity, report.mode, report.status) == (tag, "EXACT", "SKIPPED"), tag
             assert (report.lhs, report.rhs, report.discrepancy) == ("", "", "0"), tag
 
+    def test_report_writes_its_own_lines(self):
+        # pinned from the CLI's csv writer and `to_json` before the report
+        # wrote its own row; no `verify all` instance is SKIPPED, so no digest
+        # covers a row whose lhs, rhs, seed and samples are all empty
+        skipped = verify_identity("dpoisson-mean", {"alpha": 1, "lam": "2/5"})
+        assert skipped.to_csv() == "dpoisson-mean,EXACT,SKIPPED,,,0,,,alpha=1;lam=2/5"
+        assert skipped.to_json() == (
+            '{"identity":"dpoisson-mean","params":{"alpha":"1","lam":"2/5"},"mode":"EXACT",'
+            '"lhs":"","rhs":"","discrepancy":"0","status":"SKIPPED"}'
+        )
+        statistical = verify_identity("poisson-pgf", {"alpha": 1, "t": "1/2"}, samples=2000, stream=SamplerStream(1))
+        assert statistical.to_csv() == (
+            "poisson-pgf,STATISTICAL,PASS,2.601,2.718281828459045,1.6800319572390519,1,2000,"
+            "alpha=1;t=1/2;z_threshold=5.0"
+        )
+        assert statistical.to_json() == (
+            '{"identity":"poisson-pgf","params":{"alpha":"1","t":"1/2","z_threshold":"5.0"},'
+            '"mode":"STATISTICAL","lhs":"2.601","rhs":"2.718281828459045",'
+            '"discrepancy":"1.6800319572390519","status":"PASS","seed":1,"samples":2000}'
+        )
+        assert VerificationReport.CSV_HEADER == "identity,mode,status,lhs,rhs,discrepancy,seed,samples,params"
+
     def test_infinite_support_pgf_skips_before_the_closed_form(self, monkeypatch):
         # the mass table decides SKIPPED; the float closed form is never computed
         def closed_form(self, t):

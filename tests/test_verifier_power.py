@@ -1,0 +1,144 @@
+"""Verifier power: break one production path at a time and ask whether
+`verify all` notices.
+
+Each fault monkeypatches one path by its module-level or class name, runs
+`run_suite("all", seed=0, trials=2000)` in-process and expects at least one
+FAIL. Faults that `verify all` misses today are strict xfails: the day a
+check catches one, its marker fails and must go, with the item that closed
+it.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from lahbell import distributions, montecarlo
+from lahbell.distributions import DegenerateBinomial, DegeneratePoisson
+from lahbell.exact_core import LAH_TRIANGLE
+
+
+@pytest.fixture(autouse=True)
+def fresh_sampler_tables():
+    # a faulty mass table would otherwise stay cached for the suite's distributions
+    montecarlo._cumulative_table.cache_clear()
+    yield
+    montecarlo._cumulative_table.cache_clear()
+
+
+def failures():
+    return [r.identity for r in montecarlo.run_suite("all", seed=0, trials=2000) if r.status == "FAIL"]
+
+
+def lah_row_entry(monkeypatch):
+    row = LAH_TRIANGLE.row
+
+    def faulty(n):
+        entries = row(n)
+        return entries[:2] + (entries[2] + 1,) + entries[3:] if n == 5 else entries
+
+    monkeypatch.setattr(LAH_TRIANGLE, "row", faulty)
+
+
+def series_numerators(monkeypatch):
+    series = montecarlo._lah_bell_series_numerators
+
+    def faulty(x, order, lam=0):
+        numerators, scale = series(x, order, lam)
+        return numerators[:-1] + [numerators[-1] + 1], scale
+
+    monkeypatch.setattr(montecarlo, "_lah_bell_series_numerators", faulty)
+
+
+def signed_transform(monkeypatch):
+    transform = montecarlo.signed_transform
+
+    def faulty(triangle, numerators, rows):
+        values = transform(triangle, numerators, rows)
+        return values[:-1] + [values[-1] + 1]
+
+    monkeypatch.setattr(montecarlo, "signed_transform", faulty)
+
+
+def binomial_mass_numerators(monkeypatch):
+    masses = distributions._binomial_mass_numerators
+
+    def faulty(n, p, lam):
+        # one unit of mass moved from index 1 to index 0, so the total stays 1
+        nums, den = masses(n, p, lam)
+        return (nums[0] + 1, nums[1] - 1) + nums[2:], den
+
+    monkeypatch.setattr(distributions, "_binomial_mass_numerators", faulty)
+
+
+def cumulative_table_shift(monkeypatch):
+    table = montecarlo._cumulative_table
+
+    def faulty(d):
+        # a leading entry 0.0 that no uniform lies below: every draw k becomes k + 1
+        cumulative, ambiguous, slot = table(d)
+        return np.concatenate(([0.0], cumulative)), ambiguous, slot + 1
+
+    monkeypatch.setattr(montecarlo, "_cumulative_table", faulty)
+
+
+def z_score(monkeypatch):
+    score = montecarlo.z_score
+    monkeypatch.setattr(montecarlo, "z_score", lambda *args: 100 * score(*args))
+
+
+def third_ratio(cls, monkeypatch):
+    ratios = cls._falling_ratios
+
+    def faulty(self, m):
+        result = ratios(self, m)
+        if self.lam != 0 and len(result) > 2:
+            num, den = result[2]
+            result[2] = (11 * num, 10 * den)
+        return result
+
+    monkeypatch.setattr(cls, "_falling_ratios", faulty)
+
+
+def dpoisson_third_ratio(monkeypatch):
+    third_ratio(DegeneratePoisson, monkeypatch)
+
+
+def dbinomial_third_ratio(monkeypatch):
+    third_ratio(DegenerateBinomial, monkeypatch)
+
+
+def infinite_support_pgf(monkeypatch):
+    pgf = DegeneratePoisson.pgf
+
+    def faulty(self, t):
+        value = pgf(self, t)
+        return value if self.finite_support or self.lam == 0 else value * (1 + 1e-6)
+
+    monkeypatch.setattr(DegeneratePoisson, "pgf", faulty)
+
+
+FAULTS = [
+    lah_row_entry,
+    series_numerators,
+    signed_transform,
+    binomial_mass_numerators,
+    cumulative_table_shift,
+    z_score,
+    pytest.param(dpoisson_third_ratio, marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 5: verify never compares the dpoisson `moment` exactly")),
+    pytest.param(dbinomial_third_ratio, marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 6: the dbinomial suite checks no moment past the variance")),
+    pytest.param(infinite_support_pgf, marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 18: no enclosure checks the float pgf")),
+]
+
+
+def test_the_unbroken_suite_passes():
+    assert failures() == []
+
+
+@pytest.mark.parametrize("fault", FAULTS, ids=lambda fault: fault.__name__)
+def test_verify_all_catches_the_fault(monkeypatch, fault):
+    fault(monkeypatch)
+    assert failures()
