@@ -7,6 +7,7 @@ from .errors import (
     EvaluationError,
     LahBellError,
     LengthError,
+    NormalizationError,
     SignedMassError,
     TailError,
     UnknownIdentityError,

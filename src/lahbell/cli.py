@@ -2,7 +2,7 @@
 verification, and seeded simulation, in machine-readable csv or json.
 
 Exit codes: 0 success, 1 identity failure, 2 usage, 3 table cap exceeded,
-4 evaluation domain error, 5 signed mass.
+4 evaluation domain error or a mass table that does not sum to 1, 5 signed mass.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .distributions import DegenerateBinomial, DegeneratePoisson, MomentKind, mo
 from .errors import (
     DomainError,
     EvaluationError,
+    NormalizationError,
     SignedMassError,
     TailError,
 )
@@ -280,7 +281,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except SignedMassError as exc:
         return _fail(str(exc), 5)
-    except (EvaluationError, DomainError, TailError) as exc:
+    except (EvaluationError, DomainError, TailError, NormalizationError) as exc:
         return _fail(str(exc), 4)
     except ValueError as exc:
         return _fail(str(exc), 2)

@@ -1,8 +1,9 @@
 """Degenerate binomial and degenerate Poisson random variables.
 
 Both families take exact rational parameters and reduce to the classical
-binomial / Poisson distributions at lam = 0. Everything over a finite support
-is computed in exact rational arithmetic; floats appear only for irrational
+binomial / Poisson distributions at lam = 0. Every exact result (masses,
+moments, mean, variance, pgf) is built from the integer parts of alpha or
+p = a/b, lam = c/e and t, and reduced once; floats appear only for irrational
 normalizers (exp, non-integer powers): the infinite-support Poisson `pmf`
 and `pgf`, and the binomial `mgf`. Each family supplies the
 ratios of consecutive falling factorial moments in closed form, exact for
@@ -19,6 +20,7 @@ measure regardless, so moment routines work unconditionally, while
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import sys
@@ -34,12 +36,13 @@ from .exact_core import (
     STIRLING2_TRIANGLE,
     RationalLike,
     _degenerate_exp_power,
+    _factor_range,
     _float,
     _float_exp,
+    _ratio,
     as_rational,
     degenerate_exp_eval,
     degenerate_exp_exact,
-    degenerate_factor_numerators,
     degenerate_factors,
     degenerate_falling_factorial,
     format_rational,
@@ -95,11 +98,12 @@ class DegenerateBinomial:
         lam = as_rational(self.lam)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "lam", lam)
-        if not 0 <= p <= 1:
+        (a, b), (c, e) = _ratio(p), _ratio(lam)
+        if not 0 <= a <= b:
             raise DomainError(f"p must lie in [0, 1], got {format_rational(p)}")
-        if not 0 <= lam < 1:
+        if not 0 <= c < e:
             raise DomainError(f"lam must lie in [0, 1), got {format_rational(lam)}")
-        if lam.numerator == 1 and lam.denominator < self.n:
+        if c == 1 and e < self.n:
             raise DomainError(
                 f"normalizer vanishes: lam = {format_rational(lam)} is 1/j for some j < n"
             )
@@ -115,7 +119,7 @@ class DegenerateBinomial:
     @cached_property
     def _mass_table(self) -> tuple[tuple[int, ...], int]:
         """Integer numerators of the masses 0..n over one positive denominator."""
-        return _binomial_mass_numerators(self.n, self.p, self.lam)
+        return _binomial_mass_numerators(self.n, *_ratio(self.p), *_ratio(self.lam))
 
     @property
     def support_cutoff(self) -> int:
@@ -154,8 +158,11 @@ class DegenerateBinomial:
         return self.n * self.p
 
     def variance(self) -> Fraction:
-        """E[X**2] - E[X]**2, valid for every n."""
-        return moment(self, MomentKind.RAW, 2) - self.mean() ** 2
+        """E[X**2] - E[X]**2, valid for every n: with E[X**2] = num/den and
+        p = a/b, (num b**2 - den (n a)**2) / (den b**2), reduced once."""
+        num, den = _moment_parts(self, MomentKind.RAW, 2)
+        a, b = _ratio(self.p)
+        return Fraction(num * b * b - den * (self.n * a) ** 2, den * b * b)
 
     def raw_moment(self, m: int) -> Fraction:
         return moment(self, MomentKind.RAW, m)
@@ -211,11 +218,12 @@ class DegeneratePoisson:
         lam = as_rational(self.lam)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "lam", lam)
-        if alpha <= 0:
+        (a, b), (c, e) = _ratio(alpha), _ratio(lam)
+        if a <= 0:
             raise DomainError(f"alpha must be positive, got {format_rational(alpha)}")
-        if not 0 <= lam < 1:
+        if not 0 <= c < e:
             raise DomainError(f"lam must lie in [0, 1), got {format_rational(lam)}")
-        if lam.numerator > 1 and alpha * lam >= 1:
+        if c > 1 and a * c >= b * e:
             raise DomainError(
                 "infinite-support instance needs alpha*lam < 1 for its series to converge"
             )
@@ -231,11 +239,14 @@ class DegeneratePoisson:
     @cached_property
     def _mass_table(self) -> tuple[tuple[int, ...], int]:
         """Finite support only: with lam = 1/m this is the mass table of the
-        classical Binomial(m, alpha/(m + alpha))."""
+        classical Binomial(m, alpha/(m + alpha)). With alpha = a/b and
+        g = gcd(a, m), that p is u/(u + w), u = a/g and w = m*b/g, in lowest terms."""
         m = self.support_cutoff
         if m is None:
             raise _InfiniteSupport("exact mass table requires a finite support")
-        return _binomial_mass_numerators(m, self.alpha / (m + self.alpha), Fraction(0))
+        a, b = _ratio(self.alpha)
+        g = math.gcd(a, m)
+        return _binomial_mass_numerators(m, a // g, (a + m * b) // g, 0, 1)
 
     def pmf(self, i: int) -> Union[Fraction, float]:
         """Exact rational on a finite support, float otherwise.
@@ -287,10 +298,14 @@ class DegeneratePoisson:
         return [Fraction(x, den) for x in nums]
 
     def mean(self) -> Fraction:
-        return self.alpha / (1 + self.alpha * self.lam)
+        """alpha / (1 + alpha*lam) = a*e / (b*e + a*c) at alpha = a/b, lam = c/e."""
+        (a, b), (c, e) = _ratio(self.alpha), _ratio(self.lam)
+        return Fraction(a * e, b * e + a * c)
 
     def variance(self) -> Fraction:
-        return self.alpha / (1 + self.alpha * self.lam) ** 2
+        """alpha / (1 + alpha*lam)**2 = a*b*e**2 / (b*e + a*c)**2."""
+        (a, b), (c, e) = _ratio(self.alpha), _ratio(self.lam)
+        return Fraction(a * b * e * e, (b * e + a * c) ** 2)
 
     def mean_variance(self) -> tuple[Fraction, Fraction]:
         return self.mean(), self.variance()
@@ -320,9 +335,11 @@ class DegeneratePoisson:
         With u = 1/(1-t), e_lam(alpha)**-1 * e_lam(alpha*u) is the single
         degenerate exponential e_lam(s) at s = alpha*(u-1)/(1 + lam*alpha);
         exp(alpha*(u-1)) at lam = 0. Exact rational when the support is
-        finite, a float otherwise.
+        finite, a float otherwise. At u = r/q, s is `mean()` times (r - q)/q.
         """
-        s = self.alpha * (_pgf_argument(t) - 1) / (1 + self.lam * self.alpha)
+        r, q = _pgf_argument(t)
+        (a, b), (c, e) = _ratio(self.alpha), _ratio(self.lam)
+        s = Fraction(a * e * (r - q), (b * e + a * c) * q)
         if self.finite_support:
             return degenerate_exp_exact(1, s, self.lam)
         return degenerate_exp_eval(1, s, self.lam)
@@ -341,23 +358,23 @@ def binomial(n: int, p: RationalLike) -> DegenerateBinomial:
     return DegenerateBinomial(n, as_rational(p), Fraction(0))
 
 
-def _binomial_mass_numerators(n: int, p: Fraction, lam: Fraction) -> tuple[tuple[int, ...], int]:
+def _binomial_mass_numerators(n: int, a: int, b: int, c: int, e: int) -> tuple[tuple[int, ...], int]:
     """Degenerate binomial masses 0..n as integer numerators over one denominator.
 
-    With p = a/b and lam = c/e, mass_i = C(n,i) A_i B_{n-i} / (b**n N), where
+    With p = a/b and lam = c/e (b, e > 0), mass_i = C(n,i) A_i B_{n-i} / (b**n N), where
     A_i = prod_{j<i} (a*e - j*b*c), B_k = prod_{j<k} ((b-a)*e - j*b*c) and
-    N = prod_{j<n} (e - j*c) = e**n times the normalizer: prefixes of p and
-    1 - p, and the product of the `degenerate_factors` of 1. Signs are
-    flipped when N < 0, so the denominator is always positive.
+    N = prod_{j<n} (e - j*c) = e**n times the normalizer: prefixes of the
+    degenerate factors of p and 1 - p, and the product of those of 1. Signs
+    are flipped when N < 0, so the denominator is always positive.
     """
-    successes, _ = degenerate_factor_numerators(p, n, lam)
-    failures, _ = degenerate_factor_numerators(1 - p, n, lam)
-    normalizer = math.prod(degenerate_factors(1, n, lam)[0])
+    successes, failures = (list(itertools.accumulate(_factor_range(x, b, c, e, n)[0], operator.mul, initial=1))
+                           for x in (a, b - a))
+    normalizer = math.prod(_factor_range(1, 1, c, e, n)[0])
     nums, choose = [], 1
     for i in range(n + 1):
         nums.append(choose * successes[i] * failures[n - i])
         choose = choose * (n - i) // (i + 1)
-    den = p.denominator**n * normalizer
+    den = b**n * normalizer
     if den < 0:
         return tuple(-x for x in nums), -den
     return tuple(nums), den
@@ -399,11 +416,12 @@ def _log_abs_mass_bound(alpha: Fraction, lam: Fraction, i: int, log_normalizer: 
     return math.fsum(terms) + 1e-12 * sum(abs(term) for term in terms if term > -math.inf)
 
 
-def _pgf_argument(t: RationalLike) -> Fraction:
-    t = as_rational(t)
-    if abs(t) >= 1:
+def _pgf_argument(t: RationalLike) -> tuple[int, int]:
+    """u = 1/(1-t) as its coprime parts (d, d - c) at t = c/d, d - c > 0."""
+    c, d = _ratio(t)
+    if abs(c) >= d:
         raise DomainError("generating-function argument requires |t| < 1")
-    return 1 / (1 - t)
+    return d, d - c
 
 
 def moment(d: Distribution, kind: Union[MomentKind, str], order: int) -> Fraction:
@@ -411,6 +429,11 @@ def moment(d: Distribution, kind: Union[MomentKind, str], order: int) -> Fractio
     S2 row (x**m = sum_k S2(m, k) (x)_k), the unit row, or the Lah row (<x>_m =
     sum_k L(m, k) (x)_k). With the family's ratios r_k = E[(X)_k] / E[(X)_{k-1}]
     the sum is row[0] + r_1 (row[1] + r_2 (row[2] + ...)): integer Horner, reduced once."""
+    return Fraction(*_moment_parts(d, kind, order))
+
+
+def _moment_parts(d: Distribution, kind: Union[MomentKind, str], order: int) -> tuple[int, int]:
+    """`moment` as an unreduced integer pair (num, den), den nonzero."""
     if order < 0:
         raise ValueError("moment order must be nonnegative")
     kind = MomentKind(kind)
@@ -422,7 +445,7 @@ def moment(d: Distribution, kind: Union[MomentKind, str], order: int) -> Fractio
     num, den = row[len(ratios)], 1
     for c, (r_num, r_den) in zip(reversed(row[: len(ratios)]), reversed(ratios)):
         num, den = c * r_den * den + r_num * num, r_den * den
-    return Fraction(num, den)
+    return num, den
 
 
 def _factorial_powers(kind: MomentKind, order: int, top: int) -> list[int]:
@@ -454,10 +477,9 @@ def pgf_direct(d: Distribution, t: RationalLike) -> Fraction:
     Cross-check companion to the closed-form `pgf` methods; an infinite
     support raises DomainError.
     """
-    u = _pgf_argument(t)
+    r, q = _pgf_argument(t)
     # integer Horner at u = r/q: sum_i nums_i r**i q**(n-i) / (den q**n)
     nums, den = d._mass_table
-    r, q = u.numerator, u.denominator
     acc, q_power = 0, 1
     for x in reversed(nums):
         acc = acc * r + x * q_power

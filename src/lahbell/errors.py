@@ -21,6 +21,10 @@ class SignedMassError(LahBellError, ValueError):
     """Sampling was requested from a measure with at least one negative mass."""
 
 
+class NormalizationError(LahBellError, ArithmeticError):
+    """A finite mass table does not sum to 1 exactly."""
+
+
 class TailError(LahBellError, RuntimeError):
     """CDF truncation could not reach the required tail coverage."""
 

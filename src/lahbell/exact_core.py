@@ -1,9 +1,9 @@
 """Exact rational arithmetic, generalized factorials, and memoized number triangles.
 
 Everything in this module is integer or `fractions.Fraction` work. Every
-degenerate factor product accumulates one integer sequence,
-`degenerate_factors`: as integer prefixes, Fraction prefixes, or one product
-reduced once. The Lah and Stirling triangles are built row by row from their
+degenerate factor product accumulates one integer sequence, `degenerate_factors`
+(`_factor_range` on integer parts): as integer prefixes, Fraction prefixes, or
+one product reduced once. The Lah and Stirling triangles are built row by row from their
 recurrences and cached; the closed form for Lah numbers is kept around as an
 independent cross-check. Exact values become floats through `_float` (+-inf
 past the float range), and float logs become results through `_float_exp`.
@@ -90,11 +90,13 @@ def degenerate_factors(x: RationalLike, n: int, lam: RationalLike) -> tuple[Sequ
     at lam = 0) can be iterated more than once.
     """
     _check_order(n)
-    a, b = _ratio(x)
-    c, e = _ratio(lam)
+    return _factor_range(*_ratio(x), *_ratio(lam), n)
+
+
+def _factor_range(a: int, b: int, c: int, e: int, n: int) -> tuple[Sequence[int], int]:
+    """`degenerate_factors` of x = a/b at lam = c/e from integer parts, b and e > 0."""
     start, step = a * e, b * c
-    factors = range(start, start - n * step, -step) if step else (start,) * n
-    return factors, b * e
+    return (range(start, start - n * step, -step) if step else (start,) * n), b * e
 
 
 def degenerate_falling_factorials(x: RationalLike, n: int, lam: RationalLike) -> list[Fraction]:
@@ -275,19 +277,20 @@ def _float_exp(power: float) -> float:
 
 
 def degenerate_exp_exact(x: RationalLike, t: RationalLike, lam: RationalLike) -> Fraction:
-    """Exact value of the degenerate exponential when the exponent x/lam is an integer."""
-    x, t, lam = map(as_rational, (x, t, lam))
-    if lam == 0:
-        if x * t == 0:
+    """Exact value of the degenerate exponential when the exponent x/lam = a*e/(b*c) is an integer:
+    with x = a/b, t = p/q and lam = c/e, the base (q*e + p*c)/(q*e) reduced once, then its exact power."""
+    (a, b), (p, q), (c, e) = map(_ratio, (x, t, lam))
+    if c == 0:
+        if a == 0 or p == 0:
             return Fraction(1)
         raise DomainError("no exact rational value at lam = 0 unless x*t = 0")
-    exponent = x / lam
-    if exponent.denominator != 1:
+    exponent, rest = divmod(a * e, b * c)
+    if rest:
         raise DomainError("x/lam is not an integer; use degenerate_exp_eval for a float")
-    base = 1 + lam * t
-    if base <= 0:
-        raise DomainError(f"degenerate exponential needs 1 + lam*t > 0, got {format_rational(base)}")
-    return base ** exponent.numerator
+    num, den = q * e + p * c, q * e
+    if num <= 0:
+        raise DomainError(f"degenerate exponential needs 1 + lam*t > 0, got {format_rational(Fraction(num, den))}")
+    return Fraction(num, den) ** exponent
 
 
 def degenerate_exp_series(x: RationalLike, t: RationalLike, lam: RationalLike, order: int) -> Fraction:

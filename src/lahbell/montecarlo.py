@@ -52,7 +52,7 @@ from .distributions import (
     pgf_direct,
     poisson,
 )
-from .errors import DomainError, SignedMassError, TailError, UnknownIdentityError
+from .errors import DomainError, NormalizationError, SignedMassError, TailError, UnknownIdentityError
 from .exact_core import (
     LAH_TRIANGLE,
     STIRLING1_TRIANGLE,
@@ -151,7 +151,7 @@ def _cumulative_table(d: Distribution) -> tuple[np.ndarray, np.ndarray, np.ndarr
     if analysis.finite:
         nums, den = d._mass_table
         if sum(nums) != den:
-            raise ArithmeticError("finite mass table does not sum to 1 exactly")
+            raise NormalizationError("finite mass table does not sum to 1 exactly")
         cumulative = [acc / den for acc in itertools.accumulate(nums)]
     else:
         target, alpha = 1.0 - TAIL_COVERAGE_GAP, _float(d.alpha)
@@ -490,7 +490,8 @@ def verify_identity(
     statistical check's rounded estimate, standard error or target, past the
     float range. The report serializes the typed values, so "2/4" is reported as
     "1/2". An exact check on a degenerate Poisson with an infinite support,
-    which has no exact mass table, is reported as SKIPPED.
+    which has no exact mass table, is reported as SKIPPED; a statistical check
+    whose mass table does not sum to 1 cannot sample and is reported as FAIL.
     """
     if tag not in _REGISTRY:
         raise UnknownIdentityError(tag)
@@ -502,7 +503,11 @@ def verify_identity(
             raise DomainError(f"samples must be an int >= 2, got {samples!r}")
         if stream is None:
             stream = SamplerStream(0, 0)
-        estimate, standard_error, target = check(**params, samples=samples, stream=stream)
+        try:
+            estimate, standard_error, target = check(**params, samples=samples, stream=stream)
+        except NormalizationError:
+            params = _serialize_params({**params, "z_threshold": z_threshold})
+            return VerificationReport(tag, params, mode, "", "", "inf", "FAIL", stream.master_seed, samples)
         return _z_report(tag, params, estimate, standard_error, target, z_threshold, stream, samples)
     try:
         lhs, rhs = check(**params)
@@ -647,12 +652,12 @@ for _kind in MomentKind:
 
 @_identity("poisson-pgf", "alpha", "t", mode="STATISTICAL")
 def _check_poisson_pgf(alpha, t, samples, stream):
-    u = _pgf_argument(t)
+    p, q = _pgf_argument(t)
     d = poisson(alpha)
     target = d.pgf(t)  # the closed form exp(alpha (u - 1)), computed before any draw
     counts = _sample_counts(d, samples, stream)
     # u**k = p**(k - low) q**(top - k) p**low / q**top for u = p/q, only for drawn k in low..top
-    p, q, top = u.numerator, u.denominator, len(counts) - 1
+    top = len(counts) - 1
     low = next(k for k, c in enumerate(counts) if c)
     numerators = [p ** (k - low) * q ** (top - k) if c else 0 for k, c in enumerate(counts[low:], low)]
     estimate, standard_error = _exact_mean_and_error(counts[low:], numerators, q**top, p**low)

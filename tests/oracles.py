@@ -8,7 +8,7 @@ expansion. Slow but unarguable; keep n small.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Iterator
 
 
@@ -106,3 +106,98 @@ def degenerate_binomial_mass(n: int, p, lam, i: int) -> Fraction:
         * degenerate_factor_product(1 - p, n - i, lam)
         / degenerate_factor_product(1, n, lam)
     )
+
+
+# Fraction-chain oracles: each exact distribution result as a chain of
+# Fraction operations, the way the library computed it before it worked from
+# integer parts reduced once. The two must give the same rationals.
+
+
+def dpoisson_mean_chain(alpha, lam) -> Fraction:
+    """alpha / (1 + alpha*lam)."""
+    alpha, lam = Fraction(alpha), Fraction(lam)
+    return alpha / (1 + alpha * lam)
+
+
+def dpoisson_variance_chain(alpha, lam) -> Fraction:
+    """alpha / (1 + alpha*lam)**2."""
+    alpha, lam = Fraction(alpha), Fraction(lam)
+    return alpha / (1 + alpha * lam) ** 2
+
+
+def pgf_argument_chain(t) -> Fraction:
+    """u = 1 / (1 - t)."""
+    return 1 / (1 - Fraction(t))
+
+
+def dpoisson_pgf_exponent_chain(alpha, lam, t) -> Fraction:
+    """s = alpha*(u - 1) / (1 + lam*alpha): the pgf is the degenerate exponential e_lam(s)."""
+    alpha, lam = Fraction(alpha), Fraction(lam)
+    return alpha * (pgf_argument_chain(t) - 1) / (1 + lam * alpha)
+
+
+def finite_dpoisson_pgf_chain(alpha, lam, t) -> Fraction:
+    """(1 + lam*s) ** (1/lam) at lam = 1/m, an integer power of a Fraction."""
+    return degenerate_exp_exact_chain(1, dpoisson_pgf_exponent_chain(alpha, lam, t), lam)
+
+
+def degenerate_exp_exact_chain(x, t, lam) -> Fraction | None:
+    """(1 + lam*t) ** (x/lam), 1 at lam = 0 when x*t = 0; None where that is
+    no exact rational: x/lam not an integer, 1 + lam*t <= 0, or lam = 0 < |x*t|."""
+    x, t, lam = Fraction(x), Fraction(t), Fraction(lam)
+    if lam == 0:
+        return Fraction(1) if x * t == 0 else None
+    exponent, base = x / lam, 1 + lam * t
+    if exponent.denominator != 1 or base <= 0:
+        return None
+    return base**exponent.numerator
+
+
+def binomial_mass_table_chain(n: int, p, lam) -> tuple[tuple[int, ...], int]:
+    """Mass numerators over one positive denominator from the Fractions p and
+    1 - p at lam = c/e: prefix products of x.numerator*e - j*x.denominator*c,
+    C(n,i) A_i B_{n-i} over p.denominator**n prod_{j<n} (e - j*c)."""
+    p, lam = Fraction(p), Fraction(lam)
+    c, e = lam.numerator, lam.denominator
+
+    def prefixes(x: Fraction) -> list[int]:
+        out = [1]
+        for j in range(n):
+            out.append(out[-1] * (x.numerator * e - j * x.denominator * c))
+        return out
+
+    successes, failures = prefixes(p), prefixes(1 - p)
+    nums = [comb(n, i) * successes[i] * failures[n - i] for i in range(n + 1)]
+    den = p.denominator**n * prod(e - j * c for j in range(n))
+    return (tuple(-x for x in nums), -den) if den < 0 else (tuple(nums), den)
+
+
+def finite_dpoisson_mass_table_chain(alpha, lam) -> tuple[tuple[int, ...], int]:
+    """The Binomial(m, alpha/(m + alpha)) table at lam = 1/m."""
+    alpha, m = Fraction(alpha), Fraction(lam).denominator
+    return binomial_mass_table_chain(m, alpha / (m + alpha), 0)
+
+
+def dbinomial_refusal_chain(n: int, p, lam) -> str | None:
+    """The start of the DomainError text DegenerateBinomial(n, p, lam) raises,
+    by Fraction comparisons; None for a valid instance."""
+    p, lam = Fraction(p), Fraction(lam)
+    if not 0 <= p <= 1:
+        return "p must lie in [0, 1]"
+    if not 0 <= lam < 1:
+        return "lam must lie in [0, 1)"
+    if lam.numerator == 1 and lam.denominator < n:
+        return "normalizer vanishes"
+    return None
+
+
+def dpoisson_refusal_chain(alpha, lam) -> str | None:
+    """The same for DegeneratePoisson(alpha, lam)."""
+    alpha, lam = Fraction(alpha), Fraction(lam)
+    if alpha <= 0:
+        return "alpha must be positive"
+    if not 0 <= lam < 1:
+        return "lam must lie in [0, 1)"
+    if lam.numerator > 1 and alpha * lam >= 1:
+        return "infinite-support instance needs alpha*lam < 1"
+    return None

@@ -4,6 +4,7 @@ import itertools
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -12,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from lahbell import (
     DegenerateBinomial,
@@ -26,6 +27,7 @@ from lahbell import (
     bell_polynomial,
     binomial,
     degenerate_bell_polynomial,
+    degenerate_exp_eval,
     degenerate_lah_bell_polynomial,
     evaluate_degenerate,
     lah_bell_polynomial,
@@ -36,8 +38,21 @@ from lahbell import (
     pgf_direct,
     poisson,
 )
+from lahbell.distributions import _pgf_argument
 from lahbell.montecarlo import _cumulative_table, random_degenerate_binomial
-from oracles import degenerate_binomial_mass, degenerate_factor_product
+from oracles import (
+    binomial_mass_table_chain,
+    dbinomial_refusal_chain,
+    degenerate_binomial_mass,
+    degenerate_factor_product,
+    dpoisson_mean_chain,
+    dpoisson_pgf_exponent_chain,
+    dpoisson_refusal_chain,
+    dpoisson_variance_chain,
+    finite_dpoisson_mass_table_chain,
+    finite_dpoisson_pgf_chain,
+    pgf_argument_chain,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 WITNESS = DegenerateBinomial(3, Fraction(1, 10), Fraction(2, 5))
@@ -772,6 +787,82 @@ class TestPgf:
                     moment_direct(d, kind, 2)
             with pytest.raises(DomainError):
                 pgf_direct(d, Fraction(1, 4))
+
+
+_BIG = 10**40
+_PART = st.one_of(st.integers(1, 60), st.integers(10**20, _BIG))
+
+
+def _unit_interval(closed: bool):
+    """c/e in [0, 1], or [0, 1) when not closed, with e up to 10**40."""
+    return st.builds(lambda e, c: Fraction(c % (e + closed), e), _PART, _PART)
+
+
+_T = st.one_of(
+    st.builds(lambda d, sign: sign * Fraction(d - 1, d), st.integers(2, _BIG), st.sampled_from((1, -1))),
+    st.builds(lambda t: 2 * t - 1, _unit_interval(False)).filter(lambda t: t != -1),
+)
+_UNIT_LAM = st.integers(1, 60).map(lambda m: Fraction(1, m))
+# in-range values with parts up to 10**40, the edges, and some out of range
+_OUT_OF_RANGE = st.fractions(-1, 2, max_denominator=100)
+_P = st.one_of(st.sampled_from((Fraction(0), Fraction(1))), _unit_interval(True), _OUT_OF_RANGE)
+_LAM = st.one_of(st.just(Fraction(0)), _UNIT_LAM, _unit_interval(False), _OUT_OF_RANGE)
+_ALPHA = st.one_of(st.fractions(-1, 20, max_denominator=50), st.builds(Fraction, _PART, _PART))
+
+
+def _outcome(func, *args):
+    """func(*args), or the type of the LahBellError it raises."""
+    try:
+        return func(*args)
+    except DomainError as exc:
+        return type(exc)
+
+
+class TestIntegerPartsMatchFractionChains:
+    """Every exact distribution result computed from integer parts is the
+    rational the Fraction-chain oracles give, and the constructors refuse
+    the same inputs with the same messages."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 25), _P, _LAM, _T)
+    @example(3, Fraction(2, 5), Fraction(2, 3), Fraction(1, 2))  # negative normalizer
+    @example(12, Fraction(1), Fraction(1, 13), Fraction(-1, 2))
+    @example(12, Fraction(0), Fraction(3, 40), Fraction(1 - _BIG, _BIG))
+    def test_degenerate_binomial(self, n, p, lam, t):
+        refusal = dbinomial_refusal_chain(n, p, lam)
+        if refusal:
+            with pytest.raises(DomainError, match=f"^{re.escape(refusal)}"):
+                DegenerateBinomial(n, p, lam)
+            return
+        d = DegenerateBinomial(n, p, lam)
+        assert d._mass_table == binomial_mass_table_chain(n, p, lam)
+        # the chain the one reduction replaced
+        assert d.variance() == moment(d, MomentKind.RAW, 2) - d.mean() ** 2
+        u = pgf_argument_chain(t)
+        assert pgf_direct(d, t) == sum(mass * u**i for i, mass in enumerate(d.masses()))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_ALPHA, st.one_of(_LAM, _UNIT_LAM), _T)
+    @example(Fraction(1), Fraction(2, 5), Fraction(1, 2))  # signed, infinite support
+    @example(Fraction(_BIG - 1, 3), Fraction(1, 60), Fraction(_BIG - 1, _BIG))
+    def test_degenerate_poisson(self, alpha, lam, t):
+        refusal = dpoisson_refusal_chain(alpha, lam)
+        if refusal:
+            with pytest.raises(DomainError, match=f"^{re.escape(refusal)}"):
+                DegeneratePoisson(alpha, lam)
+            return
+        d = DegeneratePoisson(alpha, lam)
+        assert d.mean() == dpoisson_mean_chain(alpha, lam)
+        assert d.variance() == dpoisson_variance_chain(alpha, lam)
+        assert Fraction(*_pgf_argument(t)) == pgf_argument_chain(t)
+        # a support of 1/lam entries, with a c/e that reduced to a unit fraction
+        assume(not d.finite_support or d.support_cutoff <= 200)
+        if d.finite_support:
+            assert d._mass_table == finite_dpoisson_mass_table_chain(alpha, lam)
+            assert d.pgf(t) == finite_dpoisson_pgf_chain(alpha, lam, t)
+        else:
+            s = dpoisson_pgf_exponent_chain(alpha, lam, t)
+            assert _outcome(d.pgf, t) == _outcome(degenerate_exp_eval, 1, s, lam)
 
 
 class TestSupportAnalysis:

@@ -32,6 +32,7 @@ from lahbell import (
 from oracles import (
     count_list_partitions_into,
     count_set_partitions_into,
+    degenerate_exp_exact_chain,
     degenerate_factor_product,
     falling_factorial_coefficients,
 )
@@ -225,6 +226,24 @@ class TestDegenerateExponential:
     def test_exact_requires_integer_exponent(self):
         with pytest.raises(DomainError):
             degenerate_exp_exact(1, 1, Fraction(2, 5))
+
+    @given(
+        st.fractions(-3, 3, max_denominator=10**40),
+        st.integers(-40, 40),
+        st.one_of(st.fractions(-2, 2, max_denominator=10**40), st.integers(-2, 2)),
+        st.booleans(),
+    )
+    def test_exact_value_is_the_fraction_chain(self, lam, k, t, integer_exponent):
+        # x = k*lam gives an integer exponent x/lam; otherwise x = k/7 mostly does not
+        x = k * lam if integer_exponent else Fraction(k, 7)
+        expected = degenerate_exp_exact_chain(x, t, lam)
+        if expected is not None:
+            assert degenerate_exp_exact(x, t, lam) == expected
+            return
+        # with an integer exponent, the refusal is a base 1 + lam*t <= 0, named in full
+        named = lam and (x / lam).denominator == 1
+        with pytest.raises(DomainError, match=f"got {format_rational(1 + lam * t)}$" if named else None):
+            degenerate_exp_exact(x, t, lam)
 
     def test_classical_limit(self):
         value = degenerate_exp_eval(1, 1, Fraction(1, 10**6))

@@ -395,7 +395,7 @@ class TestExactReduction:
         report = verify_identity("poisson-pgf", params, samples=samples, stream=SamplerStream(4, 2))
         estimate, standard_error, _ = montecarlo._check_poisson_pgf(**params, samples=samples, stream=SamplerStream(4, 2))
         draws = draw_samples(poisson(5), samples, SamplerStream(4, 2))
-        u = _pgf_argument(Fraction(1, 3))
+        u = Fraction(*_pgf_argument(Fraction(1, 3)))
         expected = exact_mean_and_error([u**k for k in draws.tolist()])
         assert (estimate, standard_error) == expected
         assert report.lhs == repr(expected[0])

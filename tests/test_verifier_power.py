@@ -3,17 +3,21 @@
 
 Each fault monkeypatches one path by its module-level or class name, runs
 `run_suite("all", seed=0, trials=2000)` in-process and expects at least one
-FAIL. Faults that `verify all` misses today are strict xfails: the day a
+FAIL, of the tag `CAUGHT_BY` names for it if any. Faults that `verify all`
+misses today are strict xfails: the day a
 check catches one, its marker fails and must go, with the item that closed
 it.
 """
 
 from __future__ import annotations
 
+import json
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from lahbell import distributions, montecarlo
+from lahbell import cli, distributions, montecarlo
 from lahbell.distributions import DegenerateBinomial, DegeneratePoisson
 from lahbell.exact_core import LAH_TRIANGLE
 
@@ -63,10 +67,21 @@ def signed_transform(monkeypatch):
 def binomial_mass_numerators(monkeypatch):
     masses = distributions._binomial_mass_numerators
 
-    def faulty(n, p, lam):
+    def faulty(*parts):
         # one unit of mass moved from index 1 to index 0, so the total stays 1
-        nums, den = masses(n, p, lam)
+        nums, den = masses(*parts)
         return (nums[0] + 1, nums[1] - 1) + nums[2:], den
+
+    monkeypatch.setattr(distributions, "_binomial_mass_numerators", faulty)
+
+
+def unnormalized_mass_table(monkeypatch):
+    masses = distributions._binomial_mass_numerators
+
+    def faulty(*parts):
+        # one unit of mass added at index 0: the table no longer sums to 1
+        nums, den = masses(*parts)
+        return (nums[0] + 1,) + nums[1:], den
 
     monkeypatch.setattr(distributions, "_binomial_mass_numerators", faulty)
 
@@ -108,14 +123,30 @@ def dbinomial_third_ratio(monkeypatch):
     third_ratio(DegenerateBinomial, monkeypatch)
 
 
+def scaled_dpoisson_result(monkeypatch, name, factor, applies):
+    method = getattr(DegeneratePoisson, name)
+
+    def faulty(self, *args):
+        value = method(self, *args)
+        return value * factor if applies(self) else value
+
+    monkeypatch.setattr(DegeneratePoisson, name, faulty)
+
+
+def dpoisson_mean(monkeypatch):
+    scaled_dpoisson_result(monkeypatch, "mean", Fraction(1001, 1000), lambda d: d.lam != 0)
+
+
+def dpoisson_variance(monkeypatch):
+    scaled_dpoisson_result(monkeypatch, "variance", Fraction(1001, 1000), lambda d: d.lam != 0)
+
+
+def finite_support_pgf(monkeypatch):
+    scaled_dpoisson_result(monkeypatch, "pgf", 1 + Fraction(1, 10**6), lambda d: d.finite_support)
+
+
 def infinite_support_pgf(monkeypatch):
-    pgf = DegeneratePoisson.pgf
-
-    def faulty(self, t):
-        value = pgf(self, t)
-        return value if self.finite_support or self.lam == 0 else value * (1 + 1e-6)
-
-    monkeypatch.setattr(DegeneratePoisson, "pgf", faulty)
+    scaled_dpoisson_result(monkeypatch, "pgf", 1 + 1e-6, lambda d: not d.finite_support and d.lam != 0)
 
 
 FAULTS = [
@@ -123,8 +154,12 @@ FAULTS = [
     series_numerators,
     signed_transform,
     binomial_mass_numerators,
+    unnormalized_mass_table,
     cumulative_table_shift,
     z_score,
+    dpoisson_mean,
+    dpoisson_variance,
+    finite_support_pgf,
     pytest.param(dpoisson_third_ratio, marks=pytest.mark.xfail(
         strict=True, reason="ROADMAP item 5: verify never compares the dpoisson `moment` exactly")),
     pytest.param(dbinomial_third_ratio, marks=pytest.mark.xfail(
@@ -134,6 +169,17 @@ FAULTS = [
 ]
 
 
+# the tag, or tag prefix, among the failures of a fault in an exact
+# distribution path; the dpoisson mass table is built by the binomial one
+CAUGHT_BY = {
+    binomial_mass_numerators: "dpoisson-",
+    unnormalized_mass_table: "dpoisson-sample-mean",
+    dpoisson_mean: "dpoisson-mean",
+    dpoisson_variance: "dpoisson-variance",
+    finite_support_pgf: "dpoisson-pgf",
+}
+
+
 def test_the_unbroken_suite_passes():
     assert failures() == []
 
@@ -141,4 +187,18 @@ def test_the_unbroken_suite_passes():
 @pytest.mark.parametrize("fault", FAULTS, ids=lambda fault: fault.__name__)
 def test_verify_all_catches_the_fault(monkeypatch, fault):
     fault(monkeypatch)
-    assert failures()
+    caught = failures()
+    assert any(tag.startswith(CAUGHT_BY.get(fault, "")) for tag in caught)
+
+
+def test_an_unnormalized_table_is_reported_not_raised(monkeypatch, capsys):
+    unnormalized_mass_table(monkeypatch)
+    assert cli.main(["verify", "all", "--trials", "2000"]) == 1
+    reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r["identity"] for r in reports] == [tag for tag, _ in montecarlo.suite_instances("all")]
+    sampled = next(r for r in reports if r["identity"] == "dpoisson-sample-mean")
+    assert (sampled["status"], sampled["lhs"], sampled["discrepancy"]) == ("FAIL", "", "inf")
+    argv = ["simulate", "--dist", "dpoisson", "--alpha", "1", "--lambda", "1/2", "--samples", "100"]
+    assert cli.main(argv) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and "does not sum to 1" in err
