@@ -367,6 +367,8 @@ def _binomial_mass_numerators(n: int, a: int, b: int, c: int, e: int) -> tuple[t
     degenerate factors of p and 1 - p, and the product of those of 1. Signs
     are flipped when N < 0, so the denominator is always positive.
     """
+    if n > sys.maxsize:
+        raise DomainError(f"a mass table on 0..{n} is past the index range")
     successes, failures = (list(itertools.accumulate(_factor_range(x, b, c, e, n)[0], operator.mul, initial=1))
                            for x in (a, b - a))
     normalizer = math.prod(_factor_range(1, 1, c, e, n)[0])

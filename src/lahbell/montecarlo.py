@@ -558,8 +558,9 @@ def _check_lah_closed_form(n_max):
 def _check_lahbell_series(x, n_max):
     lah, denominator = family_numerators(LAH_TRIANGLE, n_max, 0, x.numerator, x.denominator)
     series, scale = _lah_bell_series_numerators(x, n_max)
-    # at lam = 0 the oracle's scale is x.denominator, so scale**n divides D
-    return _worst_gap([v * (denominator // scale**n) for n, v in enumerate(series)], lah, denominator), 0
+    # at lam = 0 the oracle's scale is x.denominator, so each D / scale**n is a running quotient
+    quotients = itertools.accumulate(itertools.repeat(scale, n_max), operator.floordiv, initial=denominator)
+    return _worst_gap(list(map(operator.mul, series, quotients)), lah, denominator), 0
 
 
 @_identity("lah-basis-transform", "alpha", "n_max")

@@ -314,12 +314,12 @@ def bell_from_lahbell_degenerate(n: int, lahbell_values: Sequence[RationalLike])
 def lah_bell_series_coefficients(x: RationalLike, order: int, lam: RationalLike = 0) -> list[Fraction]:
     """Degenerate Lah-Bell values at x, orders 0..order, from the generating function.
 
-    Returns n! [t**n] F for F = (1 + lam*h)**(1/lam), h = y*(t + t**2 + ...)
+    Returns n! [t**n] F for F = (1 + lam*h)**(1/lam), h = y*t/(1-t)
     and y = x/(1 + lam*x); F = exp(x*(1/(1-t) - 1)) at lam = 0, the plain
     Lah-Bell values. F is the degenerate Poisson pgf E[(1-t)**-X] at
     alpha = x, so the values are its rising factorial moments for every lam,
-    infinite support included. No triangle is read, so this is an independent
-    oracle for the triangle-based constructions.
+    infinite support included. An O(order) recurrence that reads no triangle
+    makes this an independent oracle for the triangle-based constructions.
     """
     scaled, scale = _lah_bell_series_numerators(x, order, lam)
     return [Fraction(v, scale**n) for n, v in enumerate(scaled)]
@@ -329,10 +329,12 @@ def _lah_bell_series_numerators(x: RationalLike, order: int, lam: RationalLike =
     """Integers [C_0, ..., C_order] and s > 0 with c_n = C_n / s**n, the
     unreduced values of `lah_bell_series_coefficients`.
 
-    F' (1 + lam*h) = h' F gives
-    c_n = y sum_{k=1..n} (n-1)!/(n-k)! (k - lam*(n-k)) c_{n-k} for c_n = n! [t**n] F,
-    run in integers scaled by s**n, s = q*e, at y = p/q in lowest terms and
-    lam = c/e. At lam = 0, s is the denominator of x. Reads no triangle.
+    F satisfies (1 - t)(1 - (1 - lam*y)t) F' = y F, so c_n = n! [t**n] F obey
+    c_{n+1} = (y + (2 - lam*y) n) c_n - (1 - lam*y) n(n-1) c_{n-1}, c_0 = 1,
+    c_1 = y: at lam = 0 the classical LB_{n+1} = (x + 2n) LB_n - n(n-1) LB_{n-1}.
+    Scaled by s**n, s = q*e, at y = p/q in lowest terms and lam = c/e, that is
+    C_{n+1} = (e*p + (2s - c*p) n) C_n - s(s - c*p) n(n-1) C_{n-1}: O(order)
+    integer steps. At lam = 0, s is the denominator of x. Reads no triangle.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -341,11 +343,8 @@ def _lah_bell_series_numerators(x: RationalLike, order: int, lam: RationalLike =
     p, q = y.numerator, y.denominator
     c, e = lam.numerator, lam.denominator
     scale = q * e
-    scaled = [1]
-    for n in range(1, order + 1):
-        acc, weight = 0, p  # weight = p (n-1)!/(n-k)! scale**(k-1)
-        for k in range(1, n + 1):
-            acc += weight * (k * e - c * (n - k)) * scaled[n - k]
-            weight *= (n - k) * scale
-        scaled.append(acc)
-    return scaled, scale
+    first, slope, damping = e * p, 2 * scale - c * p, scale * (scale - c * p)
+    scaled = [1, first]
+    for n in range(1, order):
+        scaled.append((first + slope * n) * scaled[n] - damping * n * (n - 1) * scaled[n - 1])
+    return scaled[: order + 1], scale

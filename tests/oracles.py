@@ -11,6 +11,8 @@ from fractions import Fraction
 from math import comb, factorial, prod
 from typing import Iterator
 
+from lahbell import EvaluationError
+
 
 def set_partitions(n: int) -> Iterator[list[list[int]]]:
     """All partitions of {0, ..., n-1} into nonempty blocks."""
@@ -106,6 +108,31 @@ def degenerate_binomial_mass(n: int, p, lam, i: int) -> Fraction:
         * degenerate_factor_product(1 - p, n - i, lam)
         / degenerate_factor_product(1, n, lam)
     )
+
+
+def lah_bell_series_numerators_convolution(x, order: int, lam=0) -> tuple[list[int], int]:
+    """The Lah-Bell series oracle's integers [C_0, ..., C_order] and scale
+    s = q*e (c_n = C_n / s**n), by the O(order**2) convolution the library
+    used before its three-term recurrence: F' (1 + lam*h) = h' F gives
+    c_n = y sum_{k=1..n} (n-1)!/(n-k)! (k - lam*(n-k)) c_{n-k}, at y = p/q
+    in lowest terms and lam = c/e. y comes from Fractions, not the library's
+    substitution; 1 + lam*x = 0 raises EvaluationError, as the library does.
+    """
+    x, lam = Fraction(x), Fraction(lam)
+    if 1 + lam * x == 0:
+        raise EvaluationError("substitution undefined: 1 + lam*x = 0")
+    y = x / (1 + lam * x)
+    p, q = y.numerator, y.denominator
+    c, e = lam.numerator, lam.denominator
+    scale = q * e
+    scaled = [1]
+    for n in range(1, order + 1):
+        acc, weight = 0, p  # weight = p (n-1)!/(n-k)! scale**(k-1)
+        for k in range(1, n + 1):
+            acc += weight * (k * e - c * (n - k)) * scaled[n - k]
+            weight *= (n - k) * scale
+        scaled.append(acc)
+    return scaled, scale
 
 
 # Fraction-chain oracles: each exact distribution result as a chain of

@@ -350,6 +350,20 @@ class TestSimulate:
         assert (code, out) == (4, "")
         assert "target outside the float range" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--dist", "dpoisson", "--alpha", "1", "--lambda", "1/100000000000000000000"],
+            ["--dist", "binomial", "--n", "100000000000000000000", "--p", "1/2"],
+        ],
+        ids=["dpoisson", "binomial"],
+    )
+    def test_support_past_the_index_range_exits_4(self, capsys, argv):
+        # the mass table raised a bare OverflowError (exit 1 with a traceback)
+        code, out, err = run_cli(capsys, "simulate", *argv, "--samples", "10")
+        assert (code, out) == (4, "")
+        assert "index range" in err and "Traceback" not in err
+
     def test_negative_binomial_size_is_a_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "simulate", "--dist", "binomial", "--n", "-1", "--p", "1/2")
         assert (code, out, err) == (2, "", "error: n must be a nonnegative integer\n")

@@ -170,6 +170,21 @@ class TestMassTables:
         assert time.perf_counter() - start < 1.5
         assert raw2 == d.raw_moment(2)
 
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: binomial(10**20, Fraction(1, 2)), lambda: DegeneratePoisson(1, Fraction(1, 10**20))],
+        ids=["binomial", "dpoisson"],
+    )
+    def test_support_past_the_index_range_raises_domain_error(self, make):
+        # (start,) * n in the shared table builder raised a bare OverflowError
+        d = make()
+        calls = [d.masses, lambda: pgf_direct(d, Fraction(1, 2))]
+        if isinstance(d, DegenerateBinomial):
+            calls += [lambda: d.pmf(3), lambda: analyze_support(d)]
+        for call in calls:
+            with pytest.raises(DomainError, match="index range"):
+                call()
+
     def test_exact_outputs_digest(self):
         # sha256 over masses, pmf, cutoffs, sign pattern, direct moments, both
         # pgfs, mgf floats and CDF floats of 400 random binomials and 156

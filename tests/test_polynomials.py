@@ -6,7 +6,7 @@ import hashlib
 import pickle
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from lahbell import (
     DegeneratePoisson,
@@ -37,6 +37,7 @@ from oracles import (
     count_set_partitions,
     degenerate_factor_product,
     degenerate_lah_bell_coefficients,
+    lah_bell_series_numerators_convolution,
     stirling2_explicit,
 )
 
@@ -464,6 +465,37 @@ class TestSeriesOracle:
             assert not d.finite_support
             series = lah_bell_series_coefficients(alpha, 12, lam)
             assert series == [moment(d, "rising", n) for n in range(13)]
+
+    big_parts = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6))
+    series_lams = st.one_of(
+        st.just(Fraction(0)),
+        st.integers(1, 40).map(lambda m: Fraction(1, m)),
+        st.builds(Fraction, st.integers(2, 60), st.integers(1, 30)),  # c > 1, below and above 1
+        st.builds(Fraction, st.integers(-60, -1), st.integers(1, 30)),
+        st.integers(2, 9).map(Fraction),
+    )
+
+    @given(st.one_of(big_parts, st.just(Fraction(0)), st.integers(-5, 5).map(Fraction)), series_lams,
+           st.integers(0, 40), st.booleans())
+    @example(Fraction(3, 2), Fraction(2, 5), 0, False)
+    @example(Fraction(3, 2), Fraction(2, 5), 1, False)
+    @example(Fraction(-7, 4), Fraction(0), 0, False)
+    @example(Fraction(-7, 4), Fraction(0), 1, False)
+    @example(Fraction(0), Fraction(1, 3), 1, False)
+    @example(Fraction(5), Fraction(-1, 5), 1, True)
+    def test_recurrence_equals_the_convolution(self, x, lam, order, at_pole):
+        # the three-term recurrence against the O(order**2) convolution
+        # reference: same integers, same scale, and the same poles
+        if at_pole and lam:
+            x = -1 / lam
+        if 1 + lam * x == 0:
+            with pytest.raises(EvaluationError):
+                polynomials._lah_bell_series_numerators(x, order, lam)
+            with pytest.raises(EvaluationError):
+                lah_bell_series_numerators_convolution(x, order, lam)
+            return
+        expected = lah_bell_series_numerators_convolution(x, order, lam)
+        assert polynomials._lah_bell_series_numerators(x, order, lam) == expected
 
     def test_degenerate_substitution_pole(self):
         with pytest.raises(EvaluationError):
