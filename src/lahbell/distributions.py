@@ -27,7 +27,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional, Union
 
 from .errors import DomainError
@@ -252,7 +252,8 @@ class DegeneratePoisson:
         """Exact rational on a finite support, float otherwise.
 
         With lam = 1/m and alpha = a/b the mass is the binomial one,
-        C(m,i) a**i (m*b)**(m-i) / (m*b + a)**m, computed without the table.
+        C(m,i) a**i (m*b)**(m-i) / (m*b + a)**m, computed without the table;
+        an m past the index range raises DomainError, as the table does.
         On an infinite support the mass is the normalizer e_lam(alpha)**-1
         times the exact ratio alpha**i (1)_{i,lam} / i!, with the log of the
         normalizer the degenerate exponential's own power. An `lgamma` bound on
@@ -269,6 +270,8 @@ class DegeneratePoisson:
             m = self.support_cutoff
             if i > m:
                 return Fraction(0)
+            if m > sys.maxsize:
+                raise DomainError(f"a mass table on 0..{m} is past the index range")
             a, b = self.alpha.numerator, self.alpha.denominator
             return Fraction(math.comb(m, i) * a**i * (m * b) ** (m - i), (m * b + a) ** m)
         log_normalizer = _degenerate_exp_power(-1, self.alpha, self.lam)
@@ -358,6 +361,9 @@ def binomial(n: int, p: RationalLike) -> DegenerateBinomial:
     return DegenerateBinomial(n, as_rational(p), Fraction(0))
 
 
+# the last table stays cached: the verifier runs each distribution's checks
+# one after another, each on a fresh instance with the same integer parts
+@lru_cache(maxsize=1)
 def _binomial_mass_numerators(n: int, a: int, b: int, c: int, e: int) -> tuple[tuple[int, ...], int]:
     """Degenerate binomial masses 0..n as integer numerators over one denominator.
 

@@ -27,13 +27,13 @@ a z-test of a sample estimate against a closed-form target.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Mapping, Optional, Union
 
 import numpy as np
@@ -357,7 +357,16 @@ class VerificationReport:
         return {**data, "params": dict(self.params)}
 
     def to_json(self) -> str:
-        return _COMPACT_JSON.encode(self.to_dict())
+        """`to_dict` as one compact JSON line, written in one pass: every string
+        quoted as `json.dumps` quotes it, `seed` and `samples` only when set."""
+        params = ",".join(f"{_quote(key)}:{_quote(value)}" for key, value in self.params.items())
+        seed = "" if self.seed is None else f',"seed":{self.seed:d}'
+        samples = "" if self.samples is None else f',"samples":{self.samples:d}'
+        return (
+            f'{{"identity":{_quote(self.identity)},"params":{{{params}}},"mode":{_quote(self.mode)},'
+            f'"lhs":{_quote(self.lhs)},"rhs":{_quote(self.rhs)},"discrepancy":{_quote(self.discrepancy)},'
+            f'"status":{_quote(self.status)}{seed}{samples}}}'
+        )
 
     def to_csv(self) -> str:
         """The row under CSV_HEADER: "" for an unset field, then the params as k=v;..."""
@@ -366,14 +375,13 @@ class VerificationReport:
         return ",".join(cells + [";".join(f"{k}={v}" for k, v in self.params.items())])
 
 
-# the encoder `json.dumps(..., separators=(",", ":"))` builds on every call;
-# it holds no state between calls
-_COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
-
-
 def _serialize_params(params: Mapping[str, object]) -> dict[str, str]:
-    """Fractions as canonical "a/b"; sizes and the float z threshold by `str`."""
-    return {key: format_rational(value) if isinstance(value, Fraction) else str(value) for key, value in params.items()}
+    """Each value by `str`: a Fraction as its canonical "a/b" (`format_rational`),
+    a size or the float z threshold as usual; DomainError for a part too long to print."""
+    try:
+        return {key: str(value) for key, value in params.items()}
+    except ValueError as exc:
+        raise DomainError(f"result too large to print: {exc}") from exc
 
 
 def _exact_report(identity: str, params: Mapping[str, object], lhs: Fraction | int, rhs: Fraction | int) -> VerificationReport:

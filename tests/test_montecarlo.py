@@ -1,4 +1,5 @@
 import decimal
+import json
 import math
 import sys
 import time
@@ -8,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lahbell import (
     DegenerateBinomial,
@@ -619,6 +620,14 @@ class TestPartitionedEstimation:
         assert huge.sample_count == 500
 
 
+# report text: any code point, lone surrogates included, and the characters JSON escapes
+REPORT_TEXT = st.one_of(
+    st.text(st.characters(exclude_categories=())),
+    st.sampled_from(["", '"', "\\", '\\"\\', "\x00\n\x1f\x7f", "é€😀\u2028\ud800"]),
+)
+REPORT_COUNT = st.one_of(st.none(), st.just(0), st.integers(0, 2**64 - 1), st.just(2**64 - 1))
+
+
 class TestVerifyIdentity:
     def test_unknown_tag(self):
         with pytest.raises(UnknownIdentityError):
@@ -972,6 +981,25 @@ class TestVerifyIdentity:
             '"discrepancy":"1.6800319572390519","status":"PASS","seed":1,"samples":2000}'
         )
         assert VerificationReport.CSV_HEADER == "identity,mode,status,lhs,rhs,discrepancy,seed,samples,params"
+
+    @given(
+        fields=st.lists(REPORT_TEXT, min_size=6, max_size=6),
+        params=st.dictionaries(REPORT_TEXT, REPORT_TEXT, max_size=4),
+        seed=REPORT_COUNT,
+        samples=REPORT_COUNT,
+    )
+    @example(
+        fields=["dpoisson-mean", "EXACT", "", "", "0", "SKIPPED"],
+        params={"alpha": "1", "lam": "2/5"}, seed=None, samples=None,
+    )
+    @example(
+        fields=["dpoisson-sample-mean", "STATISTICAL", "", "", "inf", "FAIL"],
+        params={"alpha": "1", "lam": "1/2", "z_threshold": "5.0"}, seed=0, samples=2000,
+    )
+    def test_json_line_is_the_compact_dump(self, fields, params, seed, samples):
+        identity, mode, lhs, rhs, discrepancy, status = fields
+        report = VerificationReport(identity, params, mode, lhs, rhs, discrepancy, status, seed, samples)
+        assert report.to_json() == json.dumps(report.to_dict(), separators=(",", ":"))
 
     def test_infinite_support_pgf_skips_before_the_closed_form(self, monkeypatch):
         # the mass table decides SKIPPED; the float closed form is never computed

@@ -11,6 +11,7 @@ it.
 
 from __future__ import annotations
 
+import functools
 import json
 from fractions import Fraction
 
@@ -202,3 +203,34 @@ def test_an_unnormalized_table_is_reported_not_raised(monkeypatch, capsys):
     assert cli.main(argv) == 4
     out, err = capsys.readouterr()
     assert out == "" and "does not sum to 1" in err
+
+
+def counting_table_builds(monkeypatch):
+    """The unwrapped table builder behind a counting cache of the same size."""
+    builds = []
+    assert distributions._binomial_mass_numerators.cache_parameters() == {"maxsize": 1, "typed": False}
+    builder = distributions._binomial_mass_numerators.__wrapped__
+
+    def counting(*parts):
+        builds.append(parts)
+        return builder(*parts)
+
+    monkeypatch.setattr(distributions, "_binomial_mass_numerators", functools.lru_cache(maxsize=1)(counting))
+    return builds
+
+
+@pytest.mark.parametrize("suite, tables", [("dpoisson", 5), ("pgf", 1), ("all", 15)])
+def test_consecutive_checks_share_one_mass_table(monkeypatch, suite, tables):
+    # each check builds a fresh instance: one table per instance would be 29, 4 and 63
+    builds = counting_table_builds(monkeypatch)
+    montecarlo.run_suite(suite, seed=0, trials=2000)
+    assert len(builds) == tables
+
+
+@pytest.mark.parametrize("fault", [binomial_mass_numerators, unnormalized_mass_table], ids=lambda fault: fault.__name__)
+def test_a_warm_table_cache_hides_no_fault(monkeypatch, fault):
+    # the unbroken run leaves its last table cached; a patched builder must still be called
+    assert failures() == []
+    montecarlo._cumulative_table.cache_clear()
+    fault(monkeypatch)
+    assert any(tag.startswith(CAUGHT_BY[fault]) for tag in failures())
