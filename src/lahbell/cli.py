@@ -169,9 +169,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         z_threshold=args.z_threshold,
     )
     if args.format == "csv":
-        _emit(VerificationReport.CSV_HEADER)
-    for report in reports:
-        _emit(report.to_csv() if args.format == "csv" else report.to_json())
+        lines = [VerificationReport.CSV_HEADER, *(report.to_csv() for report in reports)]
+    else:
+        lines = [report.to_json() for report in reports]
+    if lines:
+        _emit("\n".join(lines))
     return 1 if any(r.status == "FAIL" for r in reports) else 0
 
 
@@ -233,6 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact Lah-Bell / degenerate Lah-Bell machinery with identity verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # command name -> its parser, for main's dispatch
+    parser.commands = sub.choices
 
     table = sub.add_parser("table", help="print a number triangle or sequence")
     table.add_argument("kind", choices=["lah", "s1", "s2", "lahbell-numbers"])
@@ -274,9 +278,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """`parser.parse_args(argv)` in one pass when argv[0] names a command: the
+    command's own parser reads the rest, and the top level refuses leftovers,
+    as parse_args does once it has read the command name."""
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(parser, sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except SignedMassError as exc:

@@ -507,10 +507,28 @@ def verify_identity(
     params = _typed_params(tag, keys, params)
     z_threshold = _z_bound(z_threshold)
     if mode == "STATISTICAL":
-        if not _is_count(samples, 2):
-            raise DomainError(f"samples must be an int >= 2, got {samples!r}")
+        _check_samples(samples)
         if stream is None:
             stream = SamplerStream(0, 0)
+    return _run_check(tag, params, samples, z_threshold, stream)
+
+
+def _check_samples(samples: object) -> None:
+    if not _is_count(samples, 2):
+        raise DomainError(f"samples must be an int >= 2, got {samples!r}")
+
+
+def _run_check(
+    tag: str,
+    params: dict[str, object],
+    samples: int,
+    z_threshold: float,
+    stream: Optional[SamplerStream],
+) -> VerificationReport:
+    """Run a registered check on inputs already checked and typed (a stream
+    for a statistical check) and report it."""
+    mode, _, check = _REGISTRY[tag]
+    if mode == "STATISTICAL":
         try:
             estimate, standard_error, target = check(**params, samples=samples, stream=stream)
         except NormalizationError:
@@ -719,21 +737,28 @@ _DPOISSON_PAIRS = (
     (Fraction(7, 2), Fraction(1, 10)),
 )
 
+# the fixed points of the suites; Fractions are immutable, so every run shares them
+_SERIES_XS = (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(-1, 3))
+_BASIS_ALPHAS = (Fraction(1), Fraction(2), Fraction(3, 2))
+_PGF_TS = (Fraction(1, 4), Fraction(-1, 4), Fraction(1, 2), Fraction(-1, 2))
+_ONE, _TWO, _HALF = Fraction(1), Fraction(2), Fraction(1, 2)
+
 
 def suite_instances(suite: str, *, n_max: int = 12, seed: int = 0) -> list[tuple[str, dict]]:
     """Expand a named suite into (tag, params) instances, deterministically in `seed`."""
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
-    rng = random.Random(seed)
+    # only these suites draw random instances
+    rng = random.Random(seed) if suite in ("lahbell", "dbinomial", "all") else None
     instances: list[tuple[str, dict]] = []
     if suite in ("stirling", "all"):
         instances.append(("stirling-inversion", {"n_max": n_max}))
         instances.append(("stirling1-row-sums", {"n_max": n_max}))
         instances.append(("lah-closed-form", {"n_max": n_max}))
     if suite in ("lahbell", "all"):
-        for x in (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(-1, 3)):
+        for x in _SERIES_XS:
             instances.append(("lahbell-series", {"x": x, "n_max": n_max}))
-        for alpha in (Fraction(1), Fraction(2), Fraction(3, 2)):
+        for alpha in _BASIS_ALPHAS:
             instances.append(("lah-basis-transform", {"alpha": alpha, "n_max": n_max}))
         for _ in range(5):
             instances.append(("dlahbell-constructions", {"lam": random_lambda(rng), "n_max": n_max}))
@@ -760,14 +785,14 @@ def suite_instances(suite: str, *, n_max: int = 12, seed: int = 0) -> list[tuple
             for order in (3, 6):
                 instances.append(("dpoisson-rising-moment", {**common, "order": order}))
                 instances.append(("dpoisson-rising-expansion", {**common, "order": order}))
-        instances.append(("poisson-falling-moment", {"alpha": Fraction(2), "order": 2}))
-        instances.append(("poisson-rising-moment", {"alpha": Fraction(2), "order": 3}))
-        instances.append(("poisson-raw-moment", {"alpha": Fraction(2), "order": 3}))
-        instances.append(("dpoisson-sample-mean", {"alpha": Fraction(1), "lam": Fraction(1, 2)}))
+        instances.append(("poisson-falling-moment", {"alpha": _TWO, "order": 2}))
+        instances.append(("poisson-rising-moment", {"alpha": _TWO, "order": 3}))
+        instances.append(("poisson-raw-moment", {"alpha": _TWO, "order": 3}))
+        instances.append(("dpoisson-sample-mean", {"alpha": _ONE, "lam": _HALF}))
     if suite in ("pgf", "all"):
-        for t in (Fraction(1, 4), Fraction(-1, 4), Fraction(1, 2), Fraction(-1, 2)):
-            instances.append(("dpoisson-pgf", {"alpha": Fraction(1), "lam": Fraction(1, 2), "t": t}))
-        instances.append(("poisson-pgf", {"alpha": Fraction(1), "t": Fraction(1, 2)}))
+        for t in _PGF_TS:
+            instances.append(("dpoisson-pgf", {"alpha": _ONE, "lam": _HALF, "t": t}))
+        instances.append(("poisson-pgf", {"alpha": _ONE, "t": _HALF}))
     return instances
 
 
@@ -780,10 +805,21 @@ def run_suite(
     z_threshold: float = 5.0,
 ) -> list[VerificationReport]:
     """Run every instance of a suite. Only statistical checks get a stream, with
-    substream index = instance position, so output is deterministic in the seed."""
+    substream index = instance position, so output is deterministic in the seed.
+
+    The inputs are checked once, in `verify_identity`'s order, and each check
+    then runs on its instance's params as built: they are typed already, and
+    `n_max`, the one caller value among them, sits in the first instance of
+    every suite that reads it. `trials` is checked only when a check samples."""
     _check_seed(seed)
-    reports = []
-    for index, (tag, params) in enumerate(suite_instances(suite, n_max=n_max, seed=seed)):
-        stream = SamplerStream(seed, index) if _REGISTRY[tag][0] == "STATISTICAL" else None
-        reports.append(verify_identity(tag, params, samples=trials, z_threshold=z_threshold, stream=stream))
-    return reports
+    instances = suite_instances(suite, n_max=n_max, seed=seed)
+    first_tag, first_params = instances[0]
+    _typed_params(first_tag, _REGISTRY[first_tag][1], first_params)
+    z_threshold = _z_bound(z_threshold)
+    sampled = [_REGISTRY[tag][0] == "STATISTICAL" for tag, _ in instances]
+    if any(sampled):
+        _check_samples(trials)
+    return [
+        _run_check(tag, params, trials, z_threshold, SamplerStream(seed, index) if statistical else None)
+        for index, ((tag, params), statistical) in enumerate(zip(instances, sampled))
+    ]

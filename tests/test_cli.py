@@ -459,6 +459,85 @@ class TestParserReuse:
         assert shared == fresh
 
 
+class TestOnePassDispatch:
+    # main parses a line that starts with a command name with that command's
+    # parser alone; every line must still behave as the full parse does
+    ARGVS = (
+        # each command, parsed and run
+        ("table", "lah", "--n-max", "3"),
+        ("poly", "dlahbell", "--n", "3", "--lambda", "1/2", "--eval-at", "1"),
+        ("verify", "stirling", "--n-max", "3", "--format", "csv"),
+        ("simulate", "--dist", "poisson", "--alpha", "2", "--samples", "200", "--seed", "3"),
+        # no command, an unknown one, help
+        (),
+        ("nosuch",),
+        ("nosuch", "--n-max", "3"),
+        ("-h",),
+        ("--help",),
+        ("--he",),
+        ("-h", "verify"),
+        ("--", "verify", "stirling"),
+        ("verify", "-h"),
+        ("verify", "stirling", "--help"),
+        ("simulate", "--he"),
+        # leftovers, also after --
+        ("verify", "stirling", "extra"),
+        ("verify", "stirling", "--bogus"),
+        ("verify", "stirling", "stirling", "--bogus", "3"),
+        ("simulate", "--dist", "poisson", "--alpha", "2", "extra"),
+        ("verify", "stirling", "--", "extra"),
+        ("verify", "--", "stirling", "--n-max"),
+        ("table", "--n-max", "2", "--", "lah"),
+        # --opt=value and abbreviated flags
+        ("verify", "stirling", "--n-max=2", "--format=csv"),
+        ("poly", "dbell", "--n=2", "--lambda=1/3"),
+        ("verify", "stirling", "--n-m", "2", "--tri", "2000", "--for", "csv"),
+        ("table", "s2", "--n", "3", "--c", "5"),
+        ("simulate", "--dist", "poisson", "--al", "2", "--s", "10"),
+        # bad types and choices, missing values and required flags
+        ("verify", "stirling", "--n-max", "x"),
+        ("verify", "nosuchsuite"),
+        ("table", "nope", "--n-max", "3"),
+        ("table", "lah", "--n-max", "1.5"),
+        ("simulate", "--dist", "poisson", "--alpha", "abc"),
+        ("verify", "stirling", "--n-max"),
+        ("verify",),
+        ("table", "lah"),
+        ("poly", "bell"),
+        ("simulate",),
+        # the command's own checks
+        ("table", "lah", "--n-max", "-1"),
+        ("verify", "stirling", "--trials", "1"),
+    )
+
+    @staticmethod
+    def _outcome(capsys, run):
+        try:
+            code = run()
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @staticmethod
+    def _full_parse(argv):
+        args = cli.build_parser().parse_args(argv)
+        return args.func(args)
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+    def test_main_is_the_full_parse(self, capsys, monkeypatch, argv):
+        expected = self._outcome(capsys, lambda: self._full_parse(list(argv)))
+        assert self._outcome(capsys, lambda: main(list(argv))) == expected
+        monkeypatch.setattr(sys, "argv", ["lahbell", *argv])
+        assert self._outcome(capsys, main) == expected
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+    def test_namespace_is_the_full_parse(self, capsys, argv):
+        parser = cli.build_parser()
+        expected = self._outcome(capsys, lambda: parser.parse_args(list(argv)))
+        assert self._outcome(capsys, lambda: cli._parse_args(parser, list(argv))) == expected
+
+
 class TestByteIdenticalOutput:
     def test_simulate_reruns_identical(self):
         argv = [

@@ -1023,7 +1023,55 @@ class TestVerifyIdentity:
         assert first.to_json().encode() == second.to_json().encode()
 
 
+def per_instance_loop(suite, *, n_max=12, seed=0, trials=100_000, z_threshold=5.0):
+    """`run_suite` spelled out: `verify_identity` on each instance, each
+    statistical one on the substream of its position."""
+    montecarlo._check_seed(seed)
+    return [
+        verify_identity(
+            tag, params, samples=trials, z_threshold=z_threshold,
+            stream=SamplerStream(seed, index) if tag in STATISTICAL_TAGS else None,
+        )
+        for index, (tag, params) in enumerate(suite_instances(suite, n_max=n_max, seed=seed))
+    ]
+
+
+def outcome(run, **kwargs):
+    """The reports, or the type and message of what was raised."""
+    try:
+        return run(**kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# one bad input at a time, then pairs, whose first check must win
+BAD_SUITE_INPUTS = [
+    {"n_max": True}, {"n_max": -1}, {"n_max": "3"},
+    {"trials": 1}, {"trials": True},
+    {"z_threshold": math.nan}, {"z_threshold": -1}, {"z_threshold": "x"},
+    {"seed": -1}, {"seed": 2**64},
+    {"seed": -1, "suite": "bogus"}, {"suite": "bogus", "n_max": -1},
+    {"n_max": -1, "z_threshold": -1}, {"z_threshold": -1, "trials": 1},
+]
+
+
 class TestSuites:
+    @pytest.mark.parametrize("suite", ["all", *montecarlo.SUITES])
+    def test_run_suite_is_the_per_instance_loop(self, suite):
+        # the inputs are checked once, then each instance runs on its typed params
+        for seed in (0, 7, 1009):
+            for n_max in (0, 1, 8):
+                kwargs = {"n_max": n_max, "seed": seed, "trials": 2000, "z_threshold": 5}
+                assert run_suite(suite, **kwargs) == per_instance_loop(suite, **kwargs)
+
+    @pytest.mark.parametrize("bad", BAD_SUITE_INPUTS, ids=lambda bad: ",".join(f"{k}={v!r}" for k, v in bad.items()))
+    @pytest.mark.parametrize("suite", ["all", *montecarlo.SUITES])
+    def test_run_suite_checks_its_inputs_as_the_loop_does(self, suite, bad):
+        # the same exception and message, or the same reports where the loop
+        # accepts the input (n_max outside the n_max suites, trials where no check samples)
+        kwargs = {"suite": suite, "n_max": 2, "seed": 0, "trials": 2000, "z_threshold": 5.0, **bad}
+        assert outcome(run_suite, **kwargs) == outcome(per_instance_loop, **kwargs)
+
     def test_suite_instances_cover_registry(self):
         tags = {tag for tag, _ in suite_instances("all")}
         assert tags == set(registered_identities())
